@@ -27,7 +27,6 @@ from .errors import (
     NotMedianError,
     StructureViolationError,
     TailBoundExceededError,
-    WorkbenchError,
 )
 from .hankel import class_spec, rank_one_geom, s1_estimate
 from .medgraph import (
@@ -279,9 +278,11 @@ def _op_tree_witness(manifest: ExperimentManifest, params: Mapping):
 
 
 def _product_eval(sym, dim):
+    """Evaluator of the product symbol d -> sym(d_1) ... sym(d_dim)."""
     if dim == 1:
         return sym
-    return lambda d: float(np.prod([sym(t) for t in d]))
+    cast = float if sym.real else complex
+    return lambda d: cast(np.prod([sym(t) for t in d]))
 
 
 def _op_besov_tail(manifest: ExperimentManifest, params: Mapping):
@@ -357,7 +358,7 @@ def _run_row(manifest: ExperimentManifest, params: Mapping) -> ReportRow:
     except _ASSERTION_ERRORS as exc:
         values, verdicts, provenance = {}, {}, {}
         status, message = "fail", f"{type(exc).__name__}: {exc}"
-    except (WorkbenchError, ValueError) as exc:
+    except Exception as exc:  # a malformed row becomes an error row, never ends the run
         values, verdicts, provenance = {}, {}, {}
         status, message = "error", f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - start

@@ -16,6 +16,7 @@ import click
 from .bench import (
     DEFAULTS,
     ExperimentManifest,
+    _product_eval,
     built_in_manifest,
     manifest_from_json,
     parse_graph,
@@ -133,15 +134,8 @@ def witness(symbol, params, dim, radius, cutoff, tol, emit_witness, out):
     try:
         T = separable_multiradial_T([sym] * dim, cutoff)
         balls = [tree_ball(2, radius) for _ in range(dim)]
-        if dim == 1:
-            evaluator = sym
-        else:
-            def evaluator(d, _s=sym):
-                total = 1.0
-                for t in d:
-                    total *= _s(t)
-                return total
-        w = tree_product_witness(balls, evaluator, T, max(2, cutoff - 2), tol=tol)
+        w = tree_product_witness(balls, _product_eval(sym, dim), T,
+                                 max(2, cutoff - 2), tol=tol)
     except WorkbenchError as exc:
         raise click.ClickException(str(exc))
     text = witness_to_json(w, include_rows=emit_witness)

@@ -187,6 +187,14 @@ def class_spec(symbol: RadialSymbol, level: int, tag: str) -> HankelSpec:
     return HankelSpec(symbol, deriv, power_sum(level - 1), tag)
 
 
+def _trace_norm(section: np.ndarray) -> float:
+    """Sum of singular values.  A real symmetric section has them as the
+    absolute eigenvalues, which eigvalsh finds far cheaper than an SVD."""
+    if np.isrealobj(section) and np.array_equal(section, section.T):
+        return float(np.abs(np.linalg.eigvalsh(section)).sum())
+    return float(np.linalg.svd(section, compute_uv=False).sum())
+
+
 def _to_numeric(entries: np.ndarray) -> np.ndarray:
     if entries.dtype != object:
         return entries
@@ -216,11 +224,8 @@ class TruncatedMatrix:
     def as_numeric(self) -> np.ndarray:
         return _to_numeric(self.entries)
 
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.as_numeric(), compute_uv=False)
-
     def trace_norm(self) -> float:
-        return float(self.singular_values().sum())
+        return _trace_norm(self.as_numeric())
 
 
 def build_hankel(spec: HankelSpec, K: int, exact: bool = False) -> TruncatedMatrix:
@@ -546,7 +551,7 @@ def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float,
         sections = [spec_or_builder(K).as_numeric() for K in sizes]
     else:
         raise TypeError("expected a HankelSpec or a size -> TruncatedMatrix builder")
-    values = [float(np.linalg.svd(sec, compute_uv=False).sum()) for sec in sections]
+    values = [_trace_norm(sec) for sec in sections]
     for a, b in zip(values, values[1:]):
         if b < a - 1e-9 * (1.0 + a):
             raise StructureViolationError(
@@ -726,7 +731,7 @@ def sphere_indicator_bound(level: int, n: int) -> SphereBoundReport:
         for i in range(min(l, K - 1) + 1):
             if 0 <= l - i < K:
                 D[i, l - i] = 1.0
-        s = float(np.linalg.svd(D, compute_uv=False).sum())
+        s = _trace_norm(D)
         if abs(s - (l + 1)) > 1e-10 * (l + 1):
             raise StructureViolationError(f"anti-diagonal {l} norm {s} != {l + 1}")
         d_norms.append(s)

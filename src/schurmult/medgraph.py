@@ -14,7 +14,6 @@ raises RayTooShortError instead of guessing.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
@@ -105,17 +104,53 @@ class FiniteGraph:
         return tuple(out)
 
 
-def _bfs_row(neighbors: Sequence[Sequence[int]], source: int) -> np.ndarray:
-    dist = np.full(len(neighbors), -1, dtype=np.int32)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in neighbors[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(v)
+# the dense int32 distance matrix is the one O(n^2) structure every graph
+# keeps; builds whose matrix would pass this many bytes are refused up front
+_MAX_DIST_BYTES = 1 << 30
+# bytes of the boolean (sources x n x degree) neighbour gather per BFS block
+_BFS_BLOCK_BYTES = 1 << 22
+
+
+def _check_dist_size(n: int, what: str):
+    need = 4 * n * n
+    if need > _MAX_DIST_BYTES:
+        raise SizeLimitError(
+            f"{what} would have {n} vertices; its distance matrix needs "
+            f"{need / 2**30:.1f} GiB > {_MAX_DIST_BYTES / 2**30:.0f} GiB"
+        )
+
+
+def _all_pairs_bfs(neighbors: Sequence[Sequence[int]], sources=None) -> np.ndarray:
+    """Hop distances from each source (default: every vertex), -1 if unreached.
+
+    All sources of a block advance one BFS level per step: a vertex joins the
+    next frontier when one of its neighbours is on the current one.  Neighbour
+    lists are padded with index n, whose frontier column is always False.
+    """
+    n = len(neighbors)
+    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.intp)
+    lengths = np.fromiter(map(len, neighbors), dtype=np.intp, count=n)
+    degree = int(lengths.max(initial=0))
+    padded = np.full((n, degree), n, dtype=np.intp)
+    padded[np.arange(degree) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(neighbors), dtype=np.intp, count=int(lengths.sum())
+    )
+    dist = np.full((len(sources), n), -1, dtype=np.int32)
+    block = max(1, _BFS_BLOCK_BYTES // max(1, n * degree))
+    for lo in range(0, len(sources), block):
+        batch = sources[lo : lo + block]
+        out = dist[lo : lo + len(batch)]
+        frontier = np.zeros((len(batch), n + 1), dtype=bool)
+        frontier[np.arange(len(batch)), batch] = True
+        seen = frontier[:, :n].copy()
+        out[seen] = 0
+        for level in itertools.count(1):
+            reached = frontier[:, padded].any(axis=2) & ~seen
+            if not reached.any():
+                break
+            out[reached] = level
+            seen |= reached
+            frontier[:, :n] = reached
     return dist
 
 
@@ -128,6 +163,7 @@ def graph_from_edges(labels, edges, distances=None) -> FiniteGraph:
     """
     labels = tuple(str(s) for s in labels)
     n = len(labels)
+    _check_dist_size(n, "graph")
     if len(set(labels)) != n:
         raise ValueError("vertex labels must be distinct")
     nbr = [set() for _ in range(n)]
@@ -139,17 +175,17 @@ def graph_from_edges(labels, edges, distances=None) -> FiniteGraph:
     neighbors = tuple(tuple(sorted(s)) for s in nbr)
 
     if distances is None:
-        dist = np.vstack([_bfs_row(neighbors, s) for s in range(n)])
+        dist = _all_pairs_bfs(neighbors)
     else:
         dist = np.asarray(distances, dtype=np.int32)
         if dist.shape != (n, n):
             raise ValueError("distance matrix shape mismatch")
-        step = max(1, n // 8)
-        for s in range(0, n, step):
-            if not np.array_equal(_bfs_row(neighbors, s), dist[s]):
-                raise StructureViolationError(
-                    f"supplied distances disagree with BFS from vertex {s}"
-                )
+        sources = np.arange(0, n, max(1, n // 8))
+        wrong = (_all_pairs_bfs(neighbors, sources) != dist[sources]).any(axis=1)
+        if wrong.any():
+            raise StructureViolationError(
+                f"supplied distances disagree with BFS from vertex {sources[wrong.argmax()]}"
+            )
     if (dist < 0).any():
         raise ValueError("graph is not connected")
     if not np.array_equal(dist, dist.T):
@@ -190,6 +226,7 @@ def tree_ball(branching: int, radius: int, max_vertices: int = 200_000) -> TreeB
     count = 1 + (q + 1) * (q**R - 1) // (q - 1)
     if count > max_vertices:
         raise SizeLimitError(f"tree ball would have {count} > {max_vertices} vertices")
+    _check_dist_size(count, "tree ball")
 
     labels = ["o"]
     parents = [-1]
@@ -230,6 +267,7 @@ def product_graph(factors: Sequence[FiniteGraph], max_vertices: int = 200_000) -
         total *= s
         if total > max_vertices:
             raise SizeLimitError(f"product exceeds {max_vertices} vertices")
+    _check_dist_size(total, "product")
 
     tuples = list(itertools.product(*[range(s) for s in sizes]))
     flat = {t: i for i, t in enumerate(tuples)}
@@ -262,6 +300,7 @@ def attach_ray(graph: FiniteGraph, at: int, length: int, prefix: str = "r"):
     new_labels = [f"{prefix}{t}" for t in range(1, length + 1)]
     if set(new_labels) & set(graph.labels):
         raise ValueError(f"ray labels {prefix}* collide with existing vertices")
+    _check_dist_size(n + length, "graph with ray")
     labels = graph.labels + tuple(new_labels)
     edges = list(graph.edges())
     edges.append((at, n))
@@ -403,6 +442,7 @@ def cayley_ball(radius: int, max_vertices: int = 200_000) -> FiniteGraph:
     count = 1 + 2 * (4**radius - 1)
     if count > max_vertices:
         raise SizeLimitError(f"ball would have {count} > {max_vertices} vertices")
+    _check_dist_size(count, "Cayley ball")
 
     words = [()]
     seen = {(): 0}
@@ -444,6 +484,7 @@ def coset_tree(radius: int, max_vertices: int = 500_000) -> FiniteGraph:
     count = 1 + 3 * (2 ** (2 * radius) - 1)
     if count > max_vertices:
         raise SizeLimitError(f"coset tree would have {count} > {max_vertices} vertices")
+    _check_dist_size(count, "coset tree")
 
     words = [()]
     frontier = [()]
@@ -663,7 +704,19 @@ def _median_of(dist: np.ndarray, x: int, y: int, z: int) -> int:
     return int(hits[0])
 
 
+# elements per temporary (triples x n) array of the sampled median check
+_MEDIAN_BLOCK_ELEMENTS = 1 << 18
+
+
+def _narrowed(dist: np.ndarray) -> np.ndarray:
+    """The distances in int16 when a sum of two of them fits, else int32."""
+    fits = 2 * int(dist.max(initial=0)) <= np.iinfo(np.int16).max
+    return dist.astype(np.int16 if fits else np.int32)
+
+
 def _verify_median(dist: np.ndarray, exhaustive_limit: int, samples: int, seed: int):
+    """Unique triple-interval points: every triple when n^3 <= exhaustive_limit,
+    else `samples` seeded random triples, checked block by block."""
     n = dist.shape[0]
     if n**3 <= exhaustive_limit:
         im = dist[:, None, :] + dist[None, :, :] == dist[:, :, None]
@@ -675,10 +728,23 @@ def _verify_median(dist: np.ndarray, exhaustive_limit: int, samples: int, seed: 
                     f"triple ({bad[0]},{bad[1]},{z}) has {counts[bad[0], bad[1]]} median candidates"
                 )
         return
+    d = _narrowed(dist)
     rng = np.random.default_rng(seed)
     triples = rng.integers(0, n, size=(samples, 3))
-    for x, y, z in triples:
-        _median_of(dist, int(x), int(y), int(z))
+    block = max(1, _MEDIAN_BLOCK_ELEMENTS // n)
+    for lo in range(0, samples, block):
+        x, y, z = triples[lo : lo + block].T
+        dx, dy, dz = d[x], d[y], d[z]
+        mask = dx + dy == d[x, y][:, None]
+        mask &= dy + dz == d[y, z][:, None]
+        mask &= dz + dx == d[z, x][:, None]
+        counts = np.count_nonzero(mask, axis=1)
+        bad = np.flatnonzero(counts != 1)
+        if bad.size:
+            k = bad[0]
+            raise NotMedianError(
+                f"triple ({x[k]},{y[k]},{z[k]}) has {counts[k]} median candidates"
+            )
 
 
 def _bipartition_or_raise(graph: FiniteGraph):
@@ -840,7 +906,9 @@ def median_complex(
     """Verify a graph is median and package its cube combinatorics.
 
     Median uniqueness is checked on every triple when n^3 stays below
-    `exhaustive_limit`, and on `samples` seeded random triples otherwise.
+    `exhaustive_limit`, and otherwise on `samples` seeded random triples,
+    checked in vectorised batches; a failure names the first bad triple in
+    sample order.
     """
     ray = tuple(int(v) for v in base_ray)
     if len(ray) < 2:
@@ -945,7 +1013,7 @@ def stable_median_table(cx: MedianComplex, vertices: Optional[Sequence[int]] = N
         return cached
     if len(cx.base_ray) < 3:
         raise RayTooShortError("base ray too short to witness stabilization")
-    dist = cx.graph.distances
+    dist = _narrowed(cx.graph.distances)
     deep = _median_table_against(dist, sub, cx.base_ray[-1])
     prev = _median_table_against(dist, sub, cx.base_ray[-2])
     if not np.array_equal(deep, prev):

@@ -1,6 +1,7 @@
 """Tests for manifests, the operation registry, reports, and the CLI."""
 
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -132,6 +133,35 @@ def test_refusal_row_is_error_not_fail():
     assert result.exit_code == 0
     assert result.rows[0].status == "error"
     assert "split_radial" in result.rows[0].message
+
+
+def test_complex_product_witness_row_stays_complex():
+    # I_POWER(1.0) used to trip the complex-to-float cast and report a section
+    # mismatch; its step-2 differences decay only like n^-2, so now the tail
+    # check refuses it.  I_POWER(6.0) decays fast enough to certify.
+    grid = ({"symbol": "I_POWER", "params": [6.0], "N": 2, "radius": 2, "K": 8},
+            {"symbol": "I_POWER", "params": [1.0], "N": 2, "radius": 2, "K": 8})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_manifest(small_manifest("mlab.tree_product_witness", grid)).rows
+    assert rows[0].status == "ok"
+    assert rows[0].verdicts == {"reproduction": "WITHIN_TAIL"}
+    assert rows[0].values["reproduction_error"] <= rows[0].values["tail_bound"]
+    assert "does not match" not in rows[1].message
+    assert rows[1].message.startswith("TailBoundExceededError")
+
+
+def test_unexpected_exceptions_become_error_rows():
+    grid = ({"symbol": "GEOM", "params": [0.5], "level": 1, "tag": "B"},
+            {"symbol": "GEOM", "params": [0.5], "tag": "B"},
+            {"symbol": "I_POWER", "params": [], "level": 1, "tag": "B"},
+            {"symbol": "POWER", "params": [1.5], "level": 1, "tag": "B"})
+    result = run_manifest(small_manifest("hankel.s1_estimate", grid,
+                                         sizes=(16, 32)))
+    assert [r.status for r in result.rows] == ["ok", "error", "error", "ok"]
+    assert result.rows[1].message == "KeyError: 'level'"
+    assert result.rows[2].message.startswith("TypeError: ")
+    assert result.exit_code == 0
 
 
 def test_broken_tail_row_is_assertion_fail():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurmult import hankel
 from schurmult.errors import (
     NotRealError,
     StructureViolationError,
@@ -396,6 +397,50 @@ def test_series_tail_flag():
     assert not flag
     flag, _ = series_tail_flag([0.0] * 8)
     assert flag
+
+
+def svd_trace_norm(a):
+    return float(np.linalg.svd(a, compute_uv=False).sum())
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count the eigvalsh and svd calls made through numpy.linalg."""
+    calls = {"eigvalsh": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    class_spec(geometric(0.5), 2, "A"),
+    class_spec(parity(), 1, "B"),
+    class_spec(alternating_power(2.5), 2, "C"),
+    class_spec(power(1.5), 1, "B"),
+    HankelSpec(geometric(0.3), DerivativeSpec(1, 2), binom_half(2), "B"),
+], ids=lambda spec: spec.label())
+def test_trace_norm_of_symmetric_sections_matches_svd(spec):
+    for K in (1, 7, 64, 200):
+        sec = build_hankel(spec, K).as_numeric()
+        want = svd_trace_norm(sec)
+        assert hankel._trace_norm(sec) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_trace_norm_takes_svd_path_off_real_symmetric(linalg_calls):
+    split = build_hankel(HankelSpec(geometric(0.5), DerivativeSpec(1, 1), power_split(0, 1)), 32)
+    assert not np.array_equal(split.entries, split.entries.T)
+    rotated = build_hankel(class_spec(imaginary_power(1.0), 1, "B"), 32)
+    assert np.iscomplexobj(rotated.entries)
+    for T in (split, rotated):
+        assert hankel._trace_norm(T.entries) == svd_trace_norm(T.entries)
+        assert T.trace_norm() == svd_trace_norm(T.entries)
+    assert linalg_calls["eigvalsh"] == 0
+    symmetric = build_hankel(class_spec(geometric(0.5), 1, "B"), 32)
+    symmetric.trace_norm()
+    assert linalg_calls["eigvalsh"] == 1
 
 
 # ---------------------------------------------------------------- Bonsall

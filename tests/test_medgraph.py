@@ -2,18 +2,21 @@
 
 import itertools
 import json
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurmult import medgraph
 from schurmult.errors import (
     NotBipartiteError,
     NotMedianError,
     RadiusMismatchError,
     RayTooShortError,
     SizeLimitError,
+    StructureViolationError,
 )
 from schurmult.medgraph import (
     attach_ray,
@@ -109,6 +112,56 @@ def test_product_distances_additive():
 
     with pytest.raises(SizeLimitError):
         product_graph([tree_ball(2, 3).graph] * 4, max_vertices=1000)
+
+
+def bfs_row(neighbors, source):
+    """Reference: one plain breadth-first search."""
+    dist = np.full(len(neighbors), -1, dtype=np.int32)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in neighbors[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tree_ball(3, 3).graph,
+    lambda: product_graph([tree_ball(2, 2).graph, path_graph(3)]),
+    lambda: attach_ray(product_graph([tree_ball(2, 1).graph] * 2), 0, 6)[0],
+    lambda: cayley_ball(3),
+    lambda: coset_tree(2),
+])
+def test_all_pairs_bfs_matches_per_source_bfs(build):
+    g = build()
+    ref = np.vstack([bfs_row(g.neighbors, s) for s in range(g.size)])
+    got = medgraph._all_pairs_bfs(g.neighbors)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, ref)
+    assert np.array_equal(g.distances, ref)
+    sources = [g.size - 1, 0, 2]
+    assert np.array_equal(medgraph._all_pairs_bfs(g.neighbors, sources), ref[sources])
+
+
+def test_supplied_distances_are_spot_checked():
+    g = product_graph([tree_ball(2, 1).graph] * 2)
+    wrong = g.distances.copy()
+    wrong[0, 1] = wrong[1, 0] = 2
+    with pytest.raises(StructureViolationError, match="from vertex 0"):
+        graph_from_edges(g.labels, g.edges(), distances=wrong)
+
+
+def test_size_guard_counts_distance_memory():
+    # 98,302 and 131,071 vertices pass max_vertices but need 36 and 64 GiB
+    with pytest.raises(SizeLimitError, match="GiB"):
+        tree_ball(2, 15)
+    with pytest.raises(SizeLimitError, match="GiB"):
+        cayley_ball(8)
+    with pytest.raises(SizeLimitError, match="GiB"):
+        product_graph([tree_ball(2, 6).graph] * 2)
 
 
 def test_parity_witness():
@@ -272,6 +325,39 @@ def test_median_complex_rejects_non_median():
         glued(k23, length=4)
     with pytest.raises(ValueError, match="geodesic"):
         median_complex(path_graph(4), (0, 2))
+
+
+def reference_first_bad_triple(dist, samples, seed):
+    """Reference: the sampled check one triple at a time."""
+    rng = np.random.default_rng(seed)
+    for x, y, z in rng.integers(0, dist.shape[0], size=(samples, 3)):
+        mask = ((dist[x] + dist[y] == dist[x, y]) & (dist[y] + dist[z] == dist[y, z])
+                & (dist[z] + dist[x] == dist[z, x]))
+        if mask.sum() != 1:
+            return f"triple ({x},{y},{z}) has {mask.sum()} median candidates"
+    return None
+
+
+@pytest.mark.parametrize("graph, seed", [
+    (graph_from_edges(list("abcde"), [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]), 7),
+    (graph_from_edges([f"c{i}" for i in range(6)], [(i, (i + 1) % 6) for i in range(6)]), 3),
+    (graph_from_edges([f"c{i}" for i in range(200)], [(i, (i + 1) % 200) for i in range(200)]), 7),
+])
+def test_batched_median_check_names_the_first_bad_triple(graph, seed):
+    want = reference_first_bad_triple(graph.distances, 1000, seed)
+    assert want is not None
+    with pytest.raises(NotMedianError) as exc:
+        medgraph._verify_median(graph.distances, 0, 1000, seed)
+    assert str(exc.value) == want
+    with pytest.raises(NotMedianError):
+        median_complex(graph, (0, graph.neighbors[0][0]), exhaustive_limit=0, seed=seed)
+
+
+def test_batched_median_check_passes_median_graphs():
+    g, ray = attach_ray(product_graph([tree_ball(2, 2).graph] * 2), 0, 6)
+    assert reference_first_bad_triple(g.distances, 3000, 5) is None
+    medgraph._verify_median(g.distances, 0, 3000, 5)
+    assert median_complex(g, ray, exhaustive_limit=0, samples=3000).dimension == 2
 
 
 def test_median_examples():
