@@ -251,3 +251,7 @@ def run(manifest, out, jobs):
         click.echo(f"  {row.status}: {row.params} {row.message}")
     if result.exit_code:
         sys.exit(result.exit_code)
+
+
+if __name__ == "__main__":
+    main(prog_name="schurmult")

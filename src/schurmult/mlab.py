@@ -292,18 +292,92 @@ _FEAS_EPS = 1e-9          # step gap accepted as a feasible meeting point
 _SNAP_EVERY = 20
 _STALL_WINDOW = 40
 _STALL_MIN_ITERS = 120
+_EPS = float(np.finfo(np.float64).eps)
 
 
-def _affine_project(X: np.ndarray, B: np.ndarray, c: float, n: int) -> np.ndarray:
-    Z = X.copy()
-    Z[:n, n:] = B
-    Z[n:, :n] = B.conj().T
-    d = np.minimum(np.real(np.diagonal(Z)), c)
-    np.fill_diagonal(Z, d)
-    return (Z + Z.conj().T) / 2
+class _Blocks:
+    """The doubled matrix [[X, B], [B*, Y]] as Hermitian blocks M + W, M - W.
+
+    For Hermitian B the swap [[X, B], [B, Y]] -> [[Y, B], [B, X]] keeps
+    feasibility, so a completion can be taken as [[M, B], [B, M]]; the
+    rotation (1/sqrt 2)[[I, I], [I, -I]] turns it into diag(M + B, M - B),
+    and both blocks are stored (W = B, m = n).  Any other B runs as its
+    Hermitian dilation H = [[0, B], [B*, 0]] (W = H, m = 2n).  There M stays
+    block diagonal, so M - H = F (M + H) F with F = diag(I, -I): only the
+    first block is stored, and it is the doubled matrix itself.  Every
+    eigendecomposition goes through `eigh`, which counts the m x m calls.
+    """
+
+    def __init__(self, B: np.ndarray):
+        n = B.shape[0]
+        self.B, self.n = B, n
+        self.eigh_calls = 0
+        if np.array_equal(B, B.conj().T):
+            self.kernel, self.mask = B, None
+        else:
+            self.kernel = np.zeros((2 * n, 2 * n), dtype=B.dtype)
+            self.kernel[:n, n:] = B
+            self.kernel[n:, :n] = B.conj().T
+            first = np.arange(2 * n) < n
+            self.mask = first[:, None] == first[None, :]   # the diagonal blocks
+        self.m = self.kernel.shape[0]
+        self.sizes = (n, n) if self.mask is None else (2 * n,)
+
+    def halves(self, Z: np.ndarray):
+        """The pair (M, W) whose blocks are stored in Z."""
+        if self.mask is None:
+            return (Z[0] + Z[1]) / 2, (Z[0] - Z[1]) / 2
+        return np.where(self.mask, Z[0], 0), np.where(self.mask, 0, Z[0])
+
+    def join(self, M: np.ndarray, W: np.ndarray) -> np.ndarray:
+        if self.mask is None:
+            return np.stack((M + W, M - W))
+        return (M + W)[None]
+
+    def completion(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Blocks of [[X, B], [B*, Y]], averaged with its swap for Hermitian B."""
+        if self.mask is None:
+            return self.join((X + Y) / 2, self.kernel)
+        n = self.n
+        M = np.zeros_like(self.kernel)
+        M[:n, :n], M[n:, n:] = X, Y
+        return self.join(M, self.kernel)
+
+    def affine(self, Z: np.ndarray, c: float) -> np.ndarray:
+        """Nearest blocks with W = the kernel and diag M <= c."""
+        if self.mask is None:
+            M = (Z[0] + Z[1]) / 2
+        else:
+            # M + H at once: M and H fill complementary entries, H has zero diagonal
+            M = np.where(self.mask, Z[0], self.kernel)
+        np.fill_diagonal(M, np.minimum(np.real(np.diagonal(M)), c))
+        return self.join(M, self.kernel) if self.mask is None else M[None]
+
+    def rows(self, G: Sequence[np.ndarray]):
+        """Factor rows (P, Q) of B from Gram factors of the stored blocks:
+        [G+, G-] / sqrt 2 and [G+, -G-] / sqrt 2 on the rotated pair, the
+        two halves of G+ on the dilation (its G- = F G+ only repeats them)."""
+        if self.mask is None:
+            P = np.hstack((G[0], G[1])) / np.sqrt(2)
+            return P, np.hstack((G[0], -G[1])) / np.sqrt(2)
+        return G[0][:self.n], G[0][self.n:]
+
+    def eigh(self, Z: np.ndarray):
+        self.eigh_calls += len(Z)
+        return np.linalg.eigh(Z)
 
 
-def _snapshot(w: np.ndarray, V: np.ndarray, B: np.ndarray, n: int):
+def _psd_part(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    Y = (V * np.maximum(w, 0.0)[:, None, :]) @ V.conj().swapaxes(1, 2)
+    return (Y + Y.conj().swapaxes(1, 2)) / 2
+
+
+def _max_norm(A: np.ndarray, axis: int) -> float:
+    """Largest 2-norm of the rows (axis 1) or of the columns (axis 0) of A."""
+    return float(np.sqrt((np.abs(A) ** 2).sum(axis=axis).max()))
+
+
+def _snapshot(w: np.ndarray, V: np.ndarray, blocks: _Blocks):
     """Corrected certificate from a positive semidefinite Gram candidate.
 
     The raw rows reproduce B up to a residual E; appending scaled identity
@@ -312,59 +386,54 @@ def _snapshot(w: np.ndarray, V: np.ndarray, B: np.ndarray, n: int):
     of E.  The returned bound is therefore valid no matter how converged
     the iterate is.
     """
-    wc = np.clip(w, 0.0, None)
-    keep = wc > 1e-14 * max(1.0, float(wc[-1]))
-    G = V[:, keep] * np.sqrt(wc[keep])
-    P, Q = G[:n], G[n:]
-    E = B - P @ Q.conj().T
-    ecol = float(np.sqrt((np.abs(E) ** 2).sum(axis=0).max()))
-    erow = float(np.sqrt((np.abs(E) ** 2).sum(axis=1).max()))
-    sup_p = float(np.sqrt((np.abs(P) ** 2).sum(axis=1).max()))
-    sup_q = float(np.sqrt((np.abs(Q) ** 2).sum(axis=1).max()))
-    cert = sup_p * sup_q + min(ecol, erow)
+    wc = np.maximum(w, 0.0)
+    floor = 1e-14 * max(1.0, float(wc.max()))
+    G = [Vb[:, wb > floor] * np.sqrt(wb[wb > floor]) for wb, Vb in zip(wc, V)]
+    P, Q = blocks.rows(G)
+    E = blocks.B - P @ Q.conj().T
+    sup_p, sup_q = _max_norm(P, 1), _max_norm(Q, 1)
+    cert = sup_p * sup_q + min(_max_norm(E, 0), _max_norm(E, 1))
     return cert, sup_p, sup_q, P, Q, E
 
 
-def _dual_bound(drift: np.ndarray, B: np.ndarray, n: int, rounds: int = 12) -> float:
-    """Certified floor under the multiplier norm from a separator candidate.
+def _dual_bound(drift: np.ndarray, blocks: _Blocks, rounds: int = 12):
+    """Certified floor under the multiplier norm from a separator candidate,
+    with the eigenvalue pad that keeps it certified.
 
-    Any positive semidefinite S with diagonal upper-left and lower-right
-    blocks and off-diagonal block -R pairs nonnegatively with every feasible
-    completion, which forces c >= 2 Re tr(R* B) / tr(S).  The candidate is
-    rounded onto that structure and the cone, then shifted on the diagonal
-    until it is exactly inside; the resulting ratio is valid regardless of
-    where the candidate came from.
+    Any positive semidefinite S = [[D, W], [W*, D']] with diagonal D, D'
+    pairs nonnegatively with every feasible completion, which forces
+    c >= 2 |Re tr(W* B)| / tr(S); on the stored blocks D + W and D - W this
+    reads c >= |Re tr(W* kernel)| / tr(D).  The candidate is rounded onto
+    that structure and the cone, then shifted on the diagonal until its
+    computed smallest eigenvalue clears m eps ||S||, the rounding error of
+    that eigenvalue; the resulting ratio is valid regardless of where the
+    candidate came from.
     """
     norm = float(np.linalg.norm(drift))
     if norm < 1e-14:
-        return 0.0
+        return 0.0, 0.0
     S = drift / norm
 
-    def structure(M):
-        out = np.zeros_like(M)
-        idx = np.arange(2 * n)
-        out[idx, idx] = np.real(np.diagonal(M))
-        out[:n, n:] = M[:n, n:]
-        out[n:, :n] = M[:n, n:].conj().T
-        return out
+    def structure(Z):
+        M, W = blocks.halves(Z)
+        return blocks.join(np.diag(np.real(np.diagonal(M))), W)
 
     for _ in range(rounds):
-        S = structure(S)
-        w, V = np.linalg.eigh(S)
-        S = (V * np.clip(w, 0.0, None)) @ V.conj().T
-        S = (S + S.conj().T) / 2
+        S = _psd_part(*blocks.eigh(structure(S)))
     S = structure(S)
-    w = np.linalg.eigvalsh(S)
-    if w[0] < 0:
-        S[np.arange(2 * n), np.arange(2 * n)] += -w[0] + 1e-15
-    den = float(np.real(np.trace(S)))
+    w = blocks.eigh(S)[0]
+    pad = blocks.m * _EPS * float(np.abs(w).max())
+    idx = np.arange(blocks.m)
+    S[:, idx, idx] += max(0.0, pad - float(w.min()))
+    D, W = blocks.halves(S)
+    den = float(np.real(np.trace(D)))
     if den <= 1e-14:
-        return 0.0
-    num = 2.0 * abs(float(np.real(np.sum(np.conj(S[:n, n:]) * B))))
-    return num / den
+        return 0.0, pad
+    num = abs(float(np.real(np.sum(np.conj(W) * blocks.kernel))))
+    return num / den, pad
 
 
-def _feasibility(B: np.ndarray, c: float, z: np.ndarray, inner_cap: int,
+def _feasibility(blocks: _Blocks, c: float, z: np.ndarray, inner_cap: int,
                  cert_target: float):
     """Douglas-Rachford pass between the cone and the affine slice at level c.
 
@@ -374,53 +443,52 @@ def _feasibility(B: np.ndarray, c: float, z: np.ndarray, inner_cap: int,
     the way, corrected certificates are harvested from the shadow iterates; a
     certificate at or under `cert_target` settles the level early, and both
     certificate tracks stay valid no matter the verdict.  Returns (verdict,
-    state, best snapshot, dual floor, iterations, last gap).
+    state, best snapshot, (dual floor, its pad), iterations, last gap).
     """
-    n = B.shape[0]
     best = None
-    dual_floor = 0.0
+    dual = (0.0, 0.0)
     r_mark = np.inf
     r = np.inf
     drift = None
     dual_at = -10_000
     for it in range(1, inner_cap + 1):
-        w, V = np.linalg.eigh(z)
-        wc = np.clip(w, 0.0, None)
-        y = (V * wc) @ V.conj().T
-        y = (y + y.conj().T) / 2
-        refl = _affine_project(2 * y - z, B, c, n)
+        w, V = blocks.eigh(z)
+        y = _psd_part(w, V)
+        refl = blocks.affine(2 * y - z, c)
         drift = y - refl
         r = float(np.linalg.norm(drift))
         z = z + refl - y
         if it % _SNAP_EVERY == 0 or r <= _FEAS_EPS or it == inner_cap:
-            snap = _snapshot(w, V, B, n)
+            snap = _snapshot(w, V, blocks)
             if best is None or snap[0] < best[0]:
                 best = snap
             if snap[0] <= cert_target:
-                return True, z, best, dual_floor, it, r
+                return True, z, best, dual, it, r
         if r <= _FEAS_EPS:
-            return True, z, best, dual_floor, it, r
+            return True, z, best, dual, it, r
         if it >= _STALL_MIN_ITERS and it % _STALL_WINDOW == 0:
             if r > 10 * _FEAS_EPS and r_mark - r < 3e-4 * r \
                     and it - dual_at >= 200:
                 dual_at = it
-                dual_floor = max(dual_floor, _dual_bound(drift, B, n))
-                if dual_floor > c:
-                    return False, z, best, dual_floor, it, r
+                dual = max(dual, _dual_bound(drift, blocks))
+                if dual[0] > c:
+                    return False, z, best, dual, it, r
             r_mark = r
     if r > 10 * _FEAS_EPS and drift is not None:
-        dual_floor = max(dual_floor, _dual_bound(drift, B, n))
-        if dual_floor > c:
-            return False, z, best, dual_floor, inner_cap, r
-    return None, z, best, dual_floor, inner_cap, r
+        dual = max(dual, _dual_bound(drift, blocks))
+        if dual[0] > c:
+            return False, z, best, dual, inner_cap, r
+    return None, z, best, dual, inner_cap, r
 
 
-def _assemble_witness(snap, B: np.ndarray, n: int, level: float) -> FactorizationWitness:
-    """Augment the snapshot rows so they reproduce B exactly, then certify
-    from the augmented rows themselves."""
+def _assemble_witness(snap, B: np.ndarray, detail: dict) -> FactorizationWitness:
+    """Augment the snapshot rows so they reproduce B exactly, compress the
+    stacked rows [P; Q] to their numerical rank (at most 2n columns), then
+    certify from the compressed rows themselves: sup_p sup_q plus the
+    smaller of the largest row and column norms of what they leave of B."""
     _, sup_p, sup_q, P, Q, E = snap
-    ecol = float(np.sqrt((np.abs(E) ** 2).sum(axis=0).max()))
-    erow = float(np.sqrt((np.abs(E) ** 2).sum(axis=1).max()))
+    n = B.shape[0]
+    ecol, erow = _max_norm(E, 0), _max_norm(E, 1)
     eye = np.eye(n, dtype=P.dtype)
     if ecol <= erow:
         delta = ecol * (sup_p / sup_q if sup_q > 0 else 1.0)
@@ -434,19 +502,25 @@ def _assemble_witness(snap, B: np.ndarray, n: int, level: float) -> Factorizatio
             delta = max(erow, 1e-300)
         p_rows = np.hstack([P, E / np.sqrt(delta)])
         q_rows = np.hstack([Q, np.sqrt(delta) * eye])
-    resid = float(np.abs(p_rows @ q_rows.conj().T - B).max())
+    U, s, _ = np.linalg.svd(np.vstack([p_rows, q_rows]), full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * _EPS * max(2 * n, p_rows.shape[1])))
+    stacked = U[:, :rank] * s[:rank]
+    p_rows, q_rows = stacked[:n], stacked[n:]
+    left = B - p_rows @ q_rows.conj().T
+    resid = float(np.abs(left).max())
     if resid > 1e-8:
         raise ConvergenceError(f"witness residual {resid} above 1e-8")
-    sup_p_aug = float(np.sqrt((np.abs(p_rows) ** 2).sum(axis=1).max()))
-    sup_q_aug = float(np.sqrt((np.abs(q_rows) ** 2).sum(axis=1).max()))
+    allowance = min(_max_norm(left, 0), _max_norm(left, 1))
+    sup_p_aug, sup_q_aug = _max_norm(p_rows, 1), _max_norm(q_rows, 1)
     return FactorizationWitness(
-        dimension=p_rows.shape[1],
+        dimension=rank,
         sup_p=sup_p_aug,
         sup_q=sup_q_aug,
-        certified=sup_p_aug * sup_q_aug,
+        certified=sup_p_aug * sup_q_aug + allowance,
         reproduction_error=resid,
         tail_bound=0.0,
-        detail={"level": level, "residual_correction": min(ecol, erow)},
+        detail={**detail, "residual_correction": min(ecol, erow),
+                "residual_allowance": allowance},
         p_rows=p_rows,
         q_rows=q_rows,
     )
@@ -456,12 +530,19 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000,
                 inner_cap: int = 2000) -> CbNormResult:
     """Schur multiplier norm of a finite kernel, bracketed to width tol.
 
-    A level c is feasible exactly when the doubled matrix with off-diagonal
-    block B admits a positive semidefinite completion whose diagonal stays
-    at or below c; the Gram rows of a feasible completion are the
-    factorization.  Feasibility is decided by a splitting iteration, and the
-    reported upper bound is the best corrected certificate seen anywhere, so
-    it stays valid even when a verdict near the threshold is wrong.
+    A level c is feasible exactly when the doubled matrix [[X, B], [B*, Y]]
+    admits a positive semidefinite completion whose diagonal stays at or
+    below c; the Gram rows of a feasible completion are the factorization.
+    For Hermitian B a completion can be taken as [[M, B], [B, M]], which is
+    positive semidefinite exactly when M + B and M - B are, so the iteration
+    runs on two n x n blocks; any other B runs as its Hermitian dilation
+    [[0, B], [B*, 0]], whose two 2n x 2n blocks are mirror images, so one
+    eigendecomposition per step suffices there too.  Feasibility is decided
+    by a splitting iteration, and the reported upper bound is the best
+    corrected certificate seen anywhere, so it stays valid even when a
+    verdict near the threshold is wrong.  The witness detail records the
+    block sizes, the eigendecomposition count and the rounding allowances
+    of both ends of the bracket.
     """
     B = kernel.matrix if isinstance(kernel, KernelMatrix) else np.asarray(kernel)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -475,37 +556,36 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000,
         return CbNormResult(0.0, 0.0, 0.0, 0, (), zero)
 
     lo = scale  # any single entry embeds as a one-point restriction
-    row = float(np.sqrt((np.abs(B) ** 2).sum(axis=1).max()))
-    col = float(np.sqrt((np.abs(B) ** 2).sum(axis=0).max()))
+    row = _max_norm(B, 1)
+    col = _max_norm(B, 0)
     hi = min(row, col)
 
     # start from the exact completion at the coarse upper level
-    z = np.zeros((2 * n, 2 * n), dtype=dtype)
-    z[:n, n:] = B
-    z[n:, :n] = B.conj().T
+    blocks = _Blocks(B)
+    eye = np.eye(n, dtype=dtype)
     if col <= row:
-        z[:n, :n] = hi * np.eye(n, dtype=dtype)
-        z[n:, n:] = (B.conj().T @ B) / hi
+        z = blocks.completion(hi * eye, (B.conj().T @ B) / hi)
     else:
-        z[:n, :n] = (B @ B.conj().T) / hi
-        z[n:, n:] = hi * np.eye(n, dtype=dtype)
+        z = blocks.completion((B @ B.conj().T) / hi, hi * eye)
 
     total = 0
     trace = []
     best = None
     best_level = hi
     cert_lower = lo    # certified: single-entry restriction, then dual floors
+    dual_pad = 0.0
     c = hi
     stuck = 0
     while True:
-        verdict, z, snap, dual_floor, used, r = _feasibility(
-            B, c, z, inner_cap, c + 0.25 * tol)
+        verdict, z, snap, dual, used, r = _feasibility(
+            blocks, c, z, inner_cap, c + 0.25 * tol)
         total += used
         tag = {True: "feasible", False: "infeasible", None: "cap"}[verdict]
         trace.append((float(c), tag, used, float(r)))
         if snap is not None and (best is None or snap[0] < best[0]):
             best, best_level = snap, c
-        cert_lower = max(cert_lower, dual_floor)
+        if dual[0] > cert_lower:
+            cert_lower, dual_pad = dual
         if verdict is False:
             lo = max(lo, c)
             stuck = 0
@@ -535,7 +615,9 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000,
         else:
             c = (lo_eff + hi_eff) / 2
 
-    witness = _assemble_witness(best, B, n, best_level)
+    witness = _assemble_witness(best, B, {
+        "level": best_level, "blocks": blocks.sizes,
+        "eigh_calls": blocks.eigh_calls, "dual_pad": dual_pad})
     upper = witness.certified
     lower = min(cert_lower, upper)
     return CbNormResult(lower, upper, upper - lower, total, tuple(trace), witness)

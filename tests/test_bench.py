@@ -1,11 +1,16 @@
 """Tests for manifests, the operation registry, reports, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import schurmult
 from schurmult.bench import (
     DEFAULTS,
     ExperimentManifest,
@@ -279,3 +284,29 @@ def test_cli_failing_row_exits_one(tmp_path):
     }))
     res = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
     assert res.exit_code == 1
+
+
+def test_cli_sdp_json_records_solver_detail(tmp_path):
+    res = invoke("sdp", "--graph", "T3ball(1)", "--symbol", "GEOM",
+                 "--params", "r=0.5", "--tol", "1e-3")
+    detail = json.loads(res.output)["witness"]["detail"]
+    assert detail["blocks"] == [4, 4]
+    assert detail["eigh_calls"] > 0
+    assert detail["dual_pad"] >= 0.0 and detail["residual_allowance"] >= 0.0
+    # the solver detail stays out of the CSV
+    result = run_manifest(small_manifest(
+        "mlab.cb_norm_sdp", [{"symbol": "GEOM", "params": [0.5],
+                              "graph": "T3ball(1)", "tol": 1e-3}]), out_dir=tmp_path)
+    csv_text = result.csv_path.read_text(encoding="utf-8")
+    assert "residual_allowance" not in csv_text and "eigh_calls" not in csv_text
+
+
+def test_python_dash_m_schurmult_runs_the_cli(tmp_path):
+    src = str(Path(schurmult.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurmult", "run", "geom-norms", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "geom-norms.csv").read_text(encoding="utf-8").strip()

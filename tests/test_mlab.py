@@ -49,6 +49,7 @@ from schurmult.symbols import (
     geometric,
     parity,
     power,
+    sphere,
 )
 
 
@@ -227,6 +228,57 @@ def test_cb_result_serialization():
     assert len(d2["witness"]["p_rows"]) == 3
     lone = json.loads(witness_to_json(res.witness))
     assert lone["certified"] == pytest.approx(res.upper)
+
+
+def _kernels_by_path():
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(5, 5))
+    C = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    return {"real symmetric": A + A.T, "complex hermitian": C + C.conj().T,
+            "real": A, "complex": C}
+
+
+@pytest.mark.parametrize("name", ["real symmetric", "complex hermitian"])
+def test_cb_norm_hermitian_blocks_agree_with_dilation(name):
+    # B diag(e^{i theta}) is not Hermitian and has the same multiplier norm
+    B = _kernels_by_path()[name]
+    n = len(B)
+    theta = np.random.default_rng(5).uniform(0.0, 2 * np.pi, n)
+    blocks = cb_norm_sdp(B, tol=1e-5)
+    dilated = cb_norm_sdp(B * np.exp(1j * theta), tol=1e-5)
+    assert blocks.witness.detail["blocks"] == (n, n)
+    assert dilated.witness.detail["blocks"] == (2 * n,)
+    assert blocks.lower <= dilated.upper and dilated.lower <= blocks.upper
+
+
+def test_cb_norm_sphere_on_tree_ball_meets_doubled_bracket():
+    # [1.314454, 1.314471] is the bracket of the one 2n x 2n iteration
+    res = cb_norm_sdp(radial_kernel(tree_ball(2, 3).graph, sphere(1)), tol=1e-4)
+    assert res.witness.detail["blocks"] == (22, 22)
+    assert res.lower <= 1.314471 and 1.314454 <= res.upper
+
+
+@pytest.mark.parametrize("name", ["real symmetric", "complex hermitian", "real", "complex"])
+def test_cb_norm_witness_on_every_path(name):
+    B = _kernels_by_path()[name]
+    n = len(B)
+    res = cb_norm_sdp(B, tol=1e-4)
+    w = res.witness
+    assert np.abs(w.p_rows @ w.q_rows.conj().T - B).max() <= 1e-8
+    sp = np.sqrt((np.abs(w.p_rows) ** 2).sum(axis=1).max())
+    sq = np.sqrt((np.abs(w.q_rows) ** 2).sum(axis=1).max())
+    assert sp * sq <= w.certified
+    assert w.certified == sp * sq + w.detail["residual_allowance"]
+    assert w.p_rows.shape[1] == w.q_rows.shape[1] == w.dimension <= 2 * n
+    assert w.detail["eigh_calls"] >= res.iterations * len(w.detail["blocks"])
+
+
+def test_cb_norm_dual_pad_scales_with_the_separator():
+    # the lower end sqrt(2) comes from a separator; its pad is m eps ||S||
+    res = cb_norm_sdp(np.array([[1.0, 1.0], [1.0, -1.0]]), tol=1e-6)
+    pad = res.witness.detail["dual_pad"]
+    assert 0.0 < pad <= 2 * np.finfo(float).eps * 2.0
+    assert res.lower == pytest.approx(math.sqrt(2), abs=1e-6)
 
 
 # ---------------------------------------------------------------- sections
