@@ -16,7 +16,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -161,7 +161,13 @@ class RunResult:
 
 
 def manifest_from_json(text) -> ExperimentManifest:
+    """Load a manifest; keys outside `ExperimentManifest`'s fields are refused."""
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError(f"a manifest is a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {f.name for f in fields(ExperimentManifest)})
+    if unknown:
+        raise ValueError(f"unknown manifest keys {unknown}")
     return ExperimentManifest(
         experiment=raw["experiment"],
         operation=raw["operation"],
@@ -322,9 +328,8 @@ def _op_median_check(manifest: ExperimentManifest, params: Mapping):
     cx = median_complex(g, ray)
     rng = np.random.default_rng(manifest.seed)
     src = f"medgraph.median@n={g.size}"
-    for _ in range(triples):
-        x, y, z = (int(v) for v in rng.integers(0, g.size, size=3))
-        median(cx, x, y, z)   # raises if the median is not unique
+    # raises if some median is not unique
+    median(cx, *rng.integers(0, g.size, size=(triples, 3)).T)
     values = {"vertices": g.size, "triples": triples}
     return values, {"median": "UNIQUE"}, {k: src for k in values}, "ok"
 

@@ -242,7 +242,7 @@ def run(manifest, out, jobs):
             spec = manifest_from_json(path.read_text(encoding="utf-8"))
         else:
             spec = built_in_manifest(manifest)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"bad manifest {manifest!r}: {exc}")
     result = run_manifest(spec, out_dir=out, jobs=jobs)
     click.echo(f"wrote {result.csv_path} and {result.json_path}")

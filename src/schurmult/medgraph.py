@@ -694,57 +694,59 @@ def _interval_mask(dist: np.ndarray, x: int, y: int) -> np.ndarray:
     return dist[x] + dist[y] == dist[x, y]
 
 
-def _median_of(dist: np.ndarray, x: int, y: int, z: int) -> int:
-    mask = _interval_mask(dist, x, y) & _interval_mask(dist, y, z) & _interval_mask(dist, z, x)
-    hits = np.flatnonzero(mask)
-    if hits.size != 1:
-        raise NotMedianError(
-            f"triple ({x},{y},{z}) has {hits.size} median candidates"
-        )
-    return int(hits[0])
-
-
-# elements per temporary (triples x n) array of the sampled median check
+# elements per temporary (triples x n) array of a batched median pass
 _MEDIAN_BLOCK_ELEMENTS = 1 << 18
 
 
-def _narrowed(dist: np.ndarray) -> np.ndarray:
-    """The distances in int16 when a sum of two of them fits, else int32."""
-    fits = 2 * int(dist.max(initial=0)) <= np.iinfo(np.int16).max
-    return dist.astype(np.int16 if fits else np.int32)
+def _medians(dist: np.ndarray, x, y, z):
+    """The median of each triple: the one vertex in all three pairwise intervals.
+
+    x, y, z are vertex indices or equal-length index arrays; the pair lookups
+    dist[x, y, None] broadcast against the rows dist[x] in both cases.  A
+    vertex v lies in I(x,y), I(y,z) and I(z,x) exactly when
+    2 (d(v,x) + d(v,y) + d(v,z)) = d(x,y) + d(y,z) + d(z,x): the difference is
+    the sum of the three defects d(v,x) + d(v,y) - d(x,y), each >= 0 by the
+    triangle inequality.  Raises NotMedianError for the first triple, in
+    input order, whose candidate count is not one.
+    """
+    mask = 2 * (dist[x] + dist[y] + dist[z]) == (
+        dist[x, y, None] + dist[y, z, None] + dist[z, x, None]
+    )
+    counts = mask.sum(axis=-1)
+    if np.count_nonzero(counts != 1):
+        k = np.flatnonzero(counts != 1)[0]
+        x, y, z, c = (np.ravel(a)[k] for a in np.broadcast_arrays(x, y, z, counts))
+        raise NotMedianError(f"triple ({x},{y},{z}) has {c} median candidates")
+    return mask.argmax(axis=-1)
+
+
+def _median_blocks(dist: np.ndarray, x, y, z) -> np.ndarray:
+    """`_medians` of long index arrays (a scalar broadcasts), block by block,
+    on int16 distances when a sum of six of them fits."""
+    fits = 6 * int(dist.max(initial=0)) <= np.iinfo(np.int16).max
+    d = dist.astype(np.int16 if fits else np.int32)
+    x, y, z = np.broadcast_arrays(x, y, z)
+    out = np.empty(len(x), dtype=np.intp)
+    step = max(1, _MEDIAN_BLOCK_ELEMENTS // d.shape[0])
+    for lo in range(0, len(x), step):
+        s = slice(lo, lo + step)
+        out[s] = _medians(d, x[s], y[s], z[s])
+    return out
 
 
 def _verify_median(dist: np.ndarray, exhaustive_limit: int, samples: int, seed: int):
     """Unique triple-interval points: every triple when n^3 <= exhaustive_limit,
-    else `samples` seeded random triples, checked block by block."""
+    else `samples` seeded random triples, in sample order."""
     n = dist.shape[0]
     if n**3 <= exhaustive_limit:
-        im = dist[:, None, :] + dist[None, :, :] == dist[:, :, None]
-        for z in range(n):
-            counts = (im & im[:, z, :][None, :, :] & im[z, :, :][:, None, :]).sum(axis=2)
-            if not (counts == 1).all():
-                bad = np.argwhere(counts != 1)[0]
-                raise NotMedianError(
-                    f"triple ({bad[0]},{bad[1]},{z}) has {counts[bad[0], bad[1]]} median candidates"
-                )
+        # the candidate set is symmetric in (x, y, z), so x <= y <= z in
+        # lexicographic order is as strict and meets the same first bad triple
+        for x in range(n):
+            y, z = np.triu_indices(n - x)
+            _median_blocks(dist, x, y + x, z + x)
         return
-    d = _narrowed(dist)
     rng = np.random.default_rng(seed)
-    triples = rng.integers(0, n, size=(samples, 3))
-    block = max(1, _MEDIAN_BLOCK_ELEMENTS // n)
-    for lo in range(0, samples, block):
-        x, y, z = triples[lo : lo + block].T
-        dx, dy, dz = d[x], d[y], d[z]
-        mask = dx + dy == d[x, y][:, None]
-        mask &= dy + dz == d[y, z][:, None]
-        mask &= dz + dx == d[z, x][:, None]
-        counts = np.count_nonzero(mask, axis=1)
-        bad = np.flatnonzero(counts != 1)
-        if bad.size:
-            k = bad[0]
-            raise NotMedianError(
-                f"triple ({x[k]},{y[k]},{z[k]}) has {counts[k]} median candidates"
-            )
+    _median_blocks(dist, *rng.integers(0, n, size=(samples, 3)).T)
 
 
 def _bipartition_or_raise(graph: FiniteGraph):
@@ -907,8 +909,8 @@ def median_complex(
 
     Median uniqueness is checked on every triple when n^3 stays below
     `exhaustive_limit`, and otherwise on `samples` seeded random triples,
-    checked in vectorised batches; a failure names the first bad triple in
-    sample order.
+    both in vectorised batches; a failure names the first bad triple in
+    lexicographic or sample order.
     """
     ray = tuple(int(v) for v in base_ray)
     if len(ray) < 2:
@@ -938,12 +940,20 @@ def median_complex(
     return MedianComplex(graph, ray, dimension, edge_list, hyp_ids, cubes)
 
 
-def median(cx: MedianComplex, x: int, y: int, z: int) -> int:
-    """The unique vertex in all three pairwise intervals."""
+def median(cx: MedianComplex, x, y, z):
+    """The unique vertex in all three pairwise intervals.
+
+    x, y, z may also be equal-length index arrays: the medians of all those
+    triples come back as an array from one batched pass, which skips the
+    per-triple cache.  A triple without a unique median raises NotMedianError,
+    for arrays the first such triple in order.
+    """
+    if not isinstance(x, (int, np.integer)):
+        return _median_blocks(cx.graph.distances, x, y, z)
     key = ("mu",) + tuple(sorted((x, y, z)))
     cached = cx._cache.get(key)
     if cached is None:
-        cached = _median_of(cx.graph.distances, x, y, z)
+        cached = int(_medians(cx.graph.distances, x, y, z))
         cx._cache[key] = cached
     return cached
 
@@ -973,30 +983,6 @@ def stable_median(cx: MedianComplex, x1: int, x2: int) -> int:
     return deep
 
 
-def _median_table_against(dist: np.ndarray, sub: np.ndarray, z: int) -> np.ndarray:
-    """m[i,j] = median of (sub[i], sub[j], z), chunked over rows."""
-    n = dist.shape[0]
-    m = len(sub)
-    izt = (dist + dist[:, [z]] == dist[z]).T[sub]  # izt[i, u] : u in I(sub[i], z)
-    dsub = dist[sub]
-    dpair = dsub[:, sub]
-    table = np.empty((m, m), dtype=np.int32)
-    chunk = max(1, min(128, (1 << 22) // max(1, m * n)))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        im = dsub[lo:hi, None, :] + dsub[None, :, :] == dpair[lo:hi, :, None]
-        cand = im & izt[None, :, :] & izt[lo:hi, None, :]
-        counts = cand.sum(axis=2)
-        if not (counts == 1).all():
-            bad = np.argwhere(counts != 1)[0]
-            raise NotMedianError(
-                f"triple ({sub[lo + bad[0]]},{sub[bad[1]]},{z}) has "
-                f"{counts[bad[0], bad[1]]} median candidates"
-            )
-        table[lo:hi] = cand.argmax(axis=2)
-    return table
-
-
 def stable_median_table(cx: MedianComplex, vertices: Optional[Sequence[int]] = None) -> np.ndarray:
     """Stable medians for all pairs from `vertices` (default: everything).
 
@@ -1013,16 +999,21 @@ def stable_median_table(cx: MedianComplex, vertices: Optional[Sequence[int]] = N
         return cached
     if len(cx.base_ray) < 3:
         raise RayTooShortError("base ray too short to witness stabilization")
-    dist = _narrowed(cx.graph.distances)
-    deep = _median_table_against(dist, sub, cx.base_ray[-1])
-    prev = _median_table_against(dist, sub, cx.base_ray[-2])
-    if not np.array_equal(deep, prev):
-        bad = np.argwhere(deep != prev)[0]
+    # medians are symmetric in the pair: compute the upper triangle, mirror it
+    i, j = np.triu_indices(len(sub))
+    dist = cx.graph.distances
+    deep = _median_blocks(dist, sub[i], sub[j], cx.base_ray[-1])
+    prev = _median_blocks(dist, sub[i], sub[j], cx.base_ray[-2])
+    moving = np.flatnonzero(deep != prev)
+    if moving.size:
+        k = moving[0]
         raise RayTooShortError(
-            f"median of ({sub[bad[0]]},{sub[bad[1]]}) still moving at the end of the base ray"
+            f"median of ({sub[i[k]]},{sub[j[k]]}) still moving at the end of the base ray"
         )
-    cx._cache[key] = deep
-    return deep
+    table = np.empty((len(sub), len(sub)), dtype=np.int32)
+    table[i, j] = table[j, i] = deep
+    cx._cache[key] = table
+    return table
 
 
 def ray_set(cx: MedianComplex, x: int, k: int) -> FrozenSet[int]:

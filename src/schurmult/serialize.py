@@ -1,180 +1,27 @@
-"""Disk formats for matrix sections and trace-norm estimates.
+"""JSON for SDP results and factorization witnesses, as the CLI emits them.
 
-CSV is row-major; complex sections render each cell as "re,im" (the csv
-module quotes them), real sections as plain repr floats, so equal inputs
-produce byte-identical files.  The binary layout is little-endian complex128
-behind a 16-byte header.  Estimates go to JSON with sorted keys.
+Keys are sorted.  Witness rows appear only on request; real rows are plain
+numbers and complex rows [re, im] pairs.
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
 import json
-import math
-import struct
-from typing import Union
 
 import numpy as np
 
-from .besov import AnalyticSeries, BesovReport
-from .hankel import S1Estimate, TruncatedMatrix, lattice_points
-from .medgraph import FiniteGraph, MedianComplex, graph_from_edges, median_complex
 from .mlab import CbNormResult, FactorizationWitness
 
 __all__ = [
-    "graph_to_json",
-    "graph_from_json",
-    "complex_to_json",
-    "complex_from_json",
-    "matrix_to_csv",
-    "matrix_to_binary",
-    "matrix_from_binary",
-    "estimate_to_json",
-    "estimate_from_json",
-    "series_to_json",
-    "series_from_json",
-    "besov_report_to_csv",
     "witness_to_json",
     "cb_result_to_json",
 ]
 
-MAGIC = b"GHNK"
-VERSION = 1
-
-
-def _open_maybe(target, mode: str):
-    if hasattr(target, "write") or hasattr(target, "read"):
-        return target, False
-    return open(target, mode), True
-
-
-def matrix_to_csv(matrix: TruncatedMatrix, target) -> None:
-    """Write the section row-major; complex entries become "re,im" cells."""
-    num = matrix.as_numeric()
-    fh, close = _open_maybe(target, "w")
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        if np.iscomplexobj(num):
-            for row in num:
-                writer.writerow(f"{float(v.real)!r},{float(v.imag)!r}" for v in row)
-        else:
-            for row in num:
-                writer.writerow(repr(float(v)) for v in row)
-    finally:
-        if close:
-            fh.close()
-
-
-def _header_dims(matrix: TruncatedMatrix) -> tuple:
-    prov = matrix.provenance
-    dim = len(matrix.points[0]) if matrix.points else 1
-    if dim == 1:
-        return matrix.size, 1
-    return prov.get("cutoff", prov.get("K", matrix.size)), dim
-
-
-def matrix_to_binary(matrix: TruncatedMatrix, target) -> None:
-    """Header magic "GHNK", version, K, N as little-endian uint32, then the
-    entries as little-endian float64 (re, im) pairs, row-major."""
-    K, dim = _header_dims(matrix)
-    payload = np.ascontiguousarray(matrix.as_numeric(), dtype="<c16").tobytes()
-    fh, close = _open_maybe(target, "wb")
-    try:
-        fh.write(MAGIC + struct.pack("<III", VERSION, K, dim))
-        fh.write(payload)
-    finally:
-        if close:
-            fh.close()
-
-
-def matrix_from_binary(source) -> TruncatedMatrix:
-    fh, close = _open_maybe(source, "rb")
-    try:
-        blob = fh.read()
-    finally:
-        if close:
-            fh.close()
-    if blob[:4] != MAGIC:
-        raise ValueError("not a GHNK blob")
-    version, K, dim = struct.unpack("<III", blob[4:16])
-    if version != VERSION:
-        raise ValueError(f"unsupported version {version}")
-    flat = np.frombuffer(blob[16:], dtype="<c16")
-    side = math.isqrt(flat.size)
-    if side * side != flat.size:
-        raise ValueError(f"payload of {flat.size} entries is not square")
-    entries = flat.reshape(side, side).astype(complex)
-    if dim == 1:
-        points = tuple((i,) for i in range(side))
-        prov = {"kind": "hankel", "K": K}
-    else:
-        points = lattice_points(dim, K)
-        if len(points) != side:
-            # not a simplex section; fall back to the box of that side
-            box = round(side ** (1.0 / dim))
-            if box ** dim != side:
-                raise ValueError(f"cannot index {side} points in dimension {dim}")
-            points = tuple(itertools.product(range(box), repeat=dim))
-            prov = {"kind": "box", "dim": dim, "K": box}
-        else:
-            prov = {"kind": "lattice", "dim": dim, "cutoff": K}
-    return TruncatedMatrix(entries, points, prov)
-
-
-def estimate_to_json(estimate: S1Estimate) -> str:
-    payload = {
-        "sizes": list(estimate.sizes),
-        "values": list(estimate.values),
-        "cauchy_gap": estimate.cauchy_gap,
-        "verdict": estimate.verdict,
-        "extrapolated": estimate.extrapolated,
-        "detail": estimate.detail,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def series_to_json(series: AnalyticSeries) -> str:
-    """JSON array of [re, im] pairs, one per coefficient."""
-    pairs = [[float(complex(c).real), float(complex(c).imag)]
-             for c in series.coefficients]
-    return json.dumps(pairs)
-
-
-def series_from_json(text: Union[str, bytes]) -> AnalyticSeries:
-    pairs = json.loads(text)
-    coeffs = tuple(
-        complex(re, im) if im else float(re) for re, im in pairs
-    )
-    return AnalyticSeries(coeffs, {"kind": "json"})
-
-
-def besov_report_to_csv(report: BesovReport, target) -> None:
-    """Rows (n, 2^(n s), block_norm), repr floats."""
-    fh, close = _open_maybe(target, "w")
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        for n, norm in enumerate(report.block_norms):
-            writer.writerow([n, repr(2.0 ** (n * report.exponent)), repr(float(norm))])
-    finally:
-        if close:
-            fh.close()
-
-
-def estimate_from_json(text: Union[str, bytes]) -> S1Estimate:
-    raw = json.loads(text)
-    return S1Estimate(
-        tuple(raw["sizes"]),
-        tuple(raw["values"]),
-        raw["cauchy_gap"],
-        raw["verdict"],
-        raw["extrapolated"],
-        raw.get("detail", {}),
-    )
-
 
 def _rows_payload(rows: np.ndarray) -> list:
-    return [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in rows]
+    if np.iscomplexobj(rows):
+        return np.stack([rows.real, rows.imag], axis=-1).tolist()
+    return rows.tolist()
 
 
 def witness_to_json(witness: FactorizationWitness, include_rows: bool = False) -> str:
@@ -207,39 +54,3 @@ def cb_result_to_json(result: CbNormResult, include_rows: bool = False) -> str:
         if result.witness is not None else None,
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def graph_to_json(graph: FiniteGraph) -> str:
-    """JSON object {vertices, edges} with edges as index pairs."""
-    payload = {
-        "vertices": list(graph.labels),
-        "edges": [list(e) for e in graph.edges()],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def graph_from_json(text: Union[str, bytes]) -> FiniteGraph:
-    raw = json.loads(text)
-    return graph_from_edges(raw["vertices"], [tuple(e) for e in raw["edges"]])
-
-
-def complex_to_json(cx: MedianComplex) -> str:
-    payload = {
-        "vertices": list(cx.graph.labels),
-        "edges": [list(e) for e in cx.graph.edges()],
-        "base_ray": list(cx.base_ray),
-        "dimension": cx.dimension,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def complex_from_json(text: Union[str, bytes]) -> MedianComplex:
-    """Rebuild and re-verify; the stored dimension must survive the rebuild."""
-    raw = json.loads(text)
-    graph = graph_from_edges(raw["vertices"], [tuple(e) for e in raw["edges"]])
-    cx = median_complex(graph, raw["base_ray"])
-    if cx.dimension != raw["dimension"]:
-        raise ValueError(
-            f"rebuilt dimension {cx.dimension} != stored {raw['dimension']}"
-        )
-    return cx

@@ -7,10 +7,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import schurmult
+from schurmult import bench, medgraph
 from schurmult.bench import (
     DEFAULTS,
     ExperimentManifest,
@@ -63,6 +65,41 @@ def test_manifest_round_trip_from_json():
     assert m.sizes == (32, 64)
     assert m.tol == 1e-9 and m.seed == 7
     assert m.grid[0]["r"] == 0.5
+
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "manifest_schema.json")
+                    .read_text(encoding="utf-8"))
+
+
+def test_schema_operation_enum_is_the_registry():
+    assert SCHEMA["properties"]["operation"]["enum"] == sorted(bench._OPERATIONS)
+
+
+def test_schema_properties_are_the_keys_the_loader_accepts():
+    assert SCHEMA["additionalProperties"] is False
+    full = {"experiment": "demo", "operation": "hankel.rank_one_geom", "grid": [],
+            "sizes": [32, 64], "tol": 1e-9, "out": "demo", "seed": 3}
+    assert set(SCHEMA["properties"]) == set(full)
+    assert manifest_from_json(json.dumps(full)).out == "demo"
+    for key in ("sied", "jobs"):
+        with pytest.raises(ValueError, match=f"unknown manifest keys \\['{key}'\\]"):
+            manifest_from_json(json.dumps(dict(full, **{key: 1})))
+    with pytest.raises(ValueError, match="JSON object, got list"):
+        manifest_from_json(json.dumps([full]))
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"experiment": "x", "operation": "hankel.rank_one_geom", "sed": 4},
+     "unknown manifest keys ['sed']"),
+    ({"experiment": "x", "operation": "hankel.rank_one_geom", "grid": 5}, "not iterable"),
+    ([], "JSON object, got list"),
+])
+def test_cli_run_refuses_malformed_manifests(tmp_path, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    res = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert message in res.output
 
 
 def test_built_in_manifests_exist():
@@ -138,6 +175,23 @@ def test_refusal_row_is_error_not_fail():
     assert result.exit_code == 0
     assert result.rows[0].status == "error"
     assert "split_radial" in result.rows[0].message
+
+
+def test_median_row_draws_the_per_triple_sequence(monkeypatch):
+    # one batched draw of (triples, 3) is the sequence of per-triple draws
+    seen = []
+
+    def recording(cx, x, y, z):
+        seen.append((cx.graph.size, np.column_stack([x, y, z])))
+        return medgraph.median(cx, x, y, z)
+
+    monkeypatch.setattr(bench, "median", recording)
+    grid = ({"degrees": [3, 3], "radius": 1, "triples": 300},)
+    (row,) = run_manifest(small_manifest("medgraph.median", grid, seed=11)).rows
+    assert row.status == "ok" and row.verdicts == {"median": "UNIQUE"}
+    ((n, drawn),) = seen
+    rng = np.random.default_rng(11)
+    assert drawn.tolist() == [rng.integers(0, n, size=3).tolist() for _ in range(300)]
 
 
 def test_complex_product_witness_row_stays_complex():

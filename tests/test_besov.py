@@ -1,6 +1,5 @@
 """Tests for the dyadic series diagnostics."""
 
-import io
 import math
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from schurmult.besov import (
     AnalyticSeries,
-    BesovReport,
     besov_norm,
     block_project,
     class_series_verdict,
@@ -23,7 +21,6 @@ from schurmult.besov import (
     symbol_series,
 )
 from schurmult.errors import TailUndefinedError
-from schurmult.serialize import besov_report_to_csv, series_from_json, series_to_json
 from schurmult.symbols import (
     DerivativeSpec,
     alternating_power,
@@ -242,19 +239,3 @@ def test_peller_concordance_rows():
     pow_row = verdictmap[("POWER(0.5)", "C")]
     assert pow_row.class_verdict == pow_row.series_flag == "DIVERGENT" and pow_row.agree
     assert rep.agreements == 3 and rep.undecided == 0
-
-
-# ---------------------------------------------------------------- serialization
-
-
-def test_series_json_roundtrip():
-    f = series([1.5, -2.0, 0.5 + 0.25j])
-    back = series_from_json(series_to_json(f))
-    assert np.allclose(back.coefficients, f.coefficients, atol=0, rtol=0)
-
-
-def test_besov_report_csv():
-    rep = BesovReport(3.0, (1.0, 2.0), (1.0, 1.0), "UNDECIDED", 1.0, 64)
-    buf = io.StringIO()
-    besov_report_to_csv(rep, buf)
-    assert buf.getvalue() == "0,1.0,1.0\n1,2.0,1.0\n"

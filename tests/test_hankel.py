@@ -1,6 +1,5 @@
 """Tests for the weighted Hankel and lattice sections."""
 
-import io
 import math
 from fractions import Fraction
 
@@ -43,13 +42,6 @@ from schurmult.hankel import (
     tau_transform,
     weight_equivalence,
     WeightScheme,
-)
-from schurmult.serialize import (
-    estimate_from_json,
-    estimate_to_json,
-    matrix_from_binary,
-    matrix_to_binary,
-    matrix_to_csv,
 )
 from schurmult.symbols import (
     alternating_power,
@@ -516,53 +508,3 @@ def test_weight_equivalence_split_vs_sum():
     assert 0.0 < lo <= 1.0 <= hi < 10.0
     assert set(rep.verdicts.values()) == {"CONVERGENT"}
     assert set(rep.verdicts) == {"POWER_SPLIT", "POWER_SUM", "BINOM_HALF"}
-
-
-# ---------------------------------------------------------------- serialization
-
-
-def test_csv_real_and_complex_cells():
-    m = TruncatedMatrix(np.array([[1.0, 0.5], [0.25, -2.0]]), hankel_points(2), {})
-    buf = io.StringIO()
-    matrix_to_csv(m, buf)
-    assert buf.getvalue() == "1.0,0.5\n0.25,-2.0\n"
-
-    m = TruncatedMatrix(np.array([[1 + 0j, 0.5 - 0.25j]]), hankel_points(1), {})
-    buf = io.StringIO()
-    matrix_to_csv(m, buf)
-    assert buf.getvalue() == '"1.0,0.0","0.5,-0.25"\n'
-
-
-def test_binary_roundtrip_hankel():
-    H = build_hankel(class_spec(geometric(0.5), 1, "B"), 6)
-    buf = io.BytesIO()
-    matrix_to_binary(H, buf)
-    raw = buf.getvalue()
-    assert raw[:4] == b"GHNK"
-    back = matrix_from_binary(io.BytesIO(raw))
-    assert np.array_equal(back.as_numeric(), H.as_numeric().astype(complex))
-    assert back.points == H.points
-
-
-def test_binary_roundtrip_lattice_and_box():
-    T = build_multiradial_T(geometric(0.5), 2, 4, step=2)
-    buf = io.BytesIO()
-    matrix_to_binary(T, buf)
-    back = matrix_from_binary(io.BytesIO(buf.getvalue()))
-    assert back.points == T.points
-    assert np.allclose(back.as_numeric(), T.entries)
-
-    S = smoothed_shift((1, 1), (1, 0), (2, 2), 3)
-    buf = io.BytesIO()
-    matrix_to_binary(S, buf)
-    back = matrix_from_binary(io.BytesIO(buf.getvalue()))
-    assert back.points == S.points
-
-
-def test_estimate_json_roundtrip():
-    est = s1_estimate(class_spec(geometric(0.5), 1, "B"), [10, 20], 1e-6)
-    back = estimate_from_json(estimate_to_json(est))
-    assert back.sizes == est.sizes
-    assert back.values == est.values
-    assert back.verdict == est.verdict
-    assert back.detail == est.detail

@@ -1,7 +1,6 @@
 """Tests for graph builds, the free-product ball, and median machinery."""
 
 import itertools
-import json
 from collections import deque
 
 import numpy as np
@@ -40,12 +39,6 @@ from schurmult.medgraph import (
     stable_median_table,
     tree_ball,
     word_distance,
-)
-from schurmult.serialize import (
-    complex_from_json,
-    complex_to_json,
-    graph_from_json,
-    graph_to_json,
 )
 
 
@@ -327,10 +320,9 @@ def test_median_complex_rejects_non_median():
         median_complex(path_graph(4), (0, 2))
 
 
-def reference_first_bad_triple(dist, samples, seed):
-    """Reference: the sampled check one triple at a time."""
-    rng = np.random.default_rng(seed)
-    for x, y, z in rng.integers(0, dist.shape[0], size=(samples, 3)):
+def reference_first_bad_triple(dist, triples):
+    """Reference: the median check one triple at a time, in the given order."""
+    for x, y, z in triples:
         mask = ((dist[x] + dist[y] == dist[x, y]) & (dist[y] + dist[z] == dist[y, z])
                 & (dist[z] + dist[x] == dist[z, x]))
         if mask.sum() != 1:
@@ -338,26 +330,48 @@ def reference_first_bad_triple(dist, samples, seed):
     return None
 
 
-@pytest.mark.parametrize("graph, seed", [
-    (graph_from_edges(list("abcde"), [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]), 7),
-    (graph_from_edges([f"c{i}" for i in range(6)], [(i, (i + 1) % 6) for i in range(6)]), 3),
-    (graph_from_edges([f"c{i}" for i in range(200)], [(i, (i + 1) % 200) for i in range(200)]), 7),
+def check_triples(n, samples, seed, exhaustive):
+    """The triples the check visits: all n^3 in lexicographic order, or the samples."""
+    if exhaustive:
+        return itertools.product(range(n), repeat=3)
+    return np.random.default_rng(seed).integers(0, n, size=(samples, 3))
+
+
+K23 = graph_from_edges(list("abcde"), [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+C6 = graph_from_edges([f"c{i}" for i in range(6)], [(i, (i + 1) % 6) for i in range(6)])
+
+
+@pytest.mark.parametrize("graph, seed, exhaustive", [
+    pytest.param(K23, 7, False, id="graph0-7"),
+    pytest.param(C6, 3, False, id="graph1-3"),
+    pytest.param(graph_from_edges([f"c{i}" for i in range(200)],
+                                  [(i, (i + 1) % 200) for i in range(200)]), 7, False,
+                 id="graph2-7"),
+    pytest.param(K23, 7, True, id="K23-exhaustive"),
+    pytest.param(C6, 3, True, id="C6-exhaustive"),
 ])
-def test_batched_median_check_names_the_first_bad_triple(graph, seed):
-    want = reference_first_bad_triple(graph.distances, 1000, seed)
+def test_batched_median_check_names_the_first_bad_triple(graph, seed, exhaustive):
+    n = graph.size
+    limit = n**3 if exhaustive else 0
+    want = reference_first_bad_triple(graph.distances, check_triples(n, 1000, seed, exhaustive))
     assert want is not None
     with pytest.raises(NotMedianError) as exc:
-        medgraph._verify_median(graph.distances, 0, 1000, seed)
+        medgraph._verify_median(graph.distances, limit, 1000, seed)
     assert str(exc.value) == want
     with pytest.raises(NotMedianError):
-        median_complex(graph, (0, graph.neighbors[0][0]), exhaustive_limit=0, seed=seed)
+        median_complex(graph, (0, graph.neighbors[0][0]), exhaustive_limit=limit, seed=seed)
 
 
 def test_batched_median_check_passes_median_graphs():
     g, ray = attach_ray(product_graph([tree_ball(2, 2).graph] * 2), 0, 6)
-    assert reference_first_bad_triple(g.distances, 3000, 5) is None
+    assert reference_first_bad_triple(g.distances, check_triples(g.size, 3000, 5, False)) is None
     medgraph._verify_median(g.distances, 0, 3000, 5)
     assert median_complex(g, ray, exhaustive_limit=0, samples=3000).dimension == 2
+    # the exhaustive branch, which visits x <= y <= z only, on a small product
+    g, ray = attach_ray(product_graph([tree_ball(2, 1).graph, path_graph(3)]), 0, 3)
+    assert reference_first_bad_triple(g.distances, check_triples(g.size, 0, 0, True)) is None
+    medgraph._verify_median(g.distances, g.size**3, 0, 0)
+    assert median_complex(g, ray, exhaustive_limit=g.size**3).dimension == 2
 
 
 def test_median_examples():
@@ -374,6 +388,18 @@ def test_median_examples():
     i = sq.graph.index
     assert median(sq, i("0|o"), i("o|0"), i("0|0")) == i("0|0")
     assert median(sq, i("0|o"), i("o|0"), i("o|o")) == i("o|o")
+
+    # index arrays: one batched pass, equal to the scalar calls and to the
+    # three pairwise intervals intersected directly
+    for c in (cx, sq):
+        xs, ys, zs = np.random.default_rng(2).integers(0, c.graph.size, size=(3, 500))
+        got = median(c, xs, ys, zs)
+        assert got.tolist() == [median(c, int(x), int(y), int(z)) for x, y, z in zip(xs, ys, zs)]
+        d = c.graph.distances
+        inside = ((d[xs] + d[ys] == d[xs, ys, None]) & (d[ys] + d[zs] == d[ys, zs, None])
+                  & (d[zs] + d[xs] == d[zs, xs, None]))
+        assert (inside.sum(axis=1) == 1).all()
+        assert np.array_equal(inside.argmax(axis=1), got)
 
 
 def test_hyperplanes_cube_tree_grid():
@@ -558,24 +584,3 @@ def test_mizuta_indicator_identity_radius_three():
                     got = pairing(a, vecs[(x2, k2)].alternating)
                     want = 1 if (k1 - l1 == k2 - l2 and k1 >= l1) else 0
                     assert got == want
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def test_graph_json_roundtrip():
-    g = tree_ball(2, 2).graph
-    back = graph_from_json(graph_to_json(g))
-    assert back.labels == g.labels
-    assert np.array_equal(back.distances, g.distances)
-
-    cx = glued(product_graph([tree_ball(2, 1).graph] * 2))
-    text = complex_to_json(cx)
-    back = complex_from_json(text)
-    assert back.dimension == cx.dimension
-    assert back.base_ray == cx.base_ray
-
-    tampered = json.loads(text)
-    tampered["dimension"] = 7
-    with pytest.raises(ValueError, match="dimension"):
-        complex_from_json(json.dumps(tampered))

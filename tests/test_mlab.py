@@ -273,6 +273,21 @@ def test_cb_norm_witness_on_every_path(name):
     assert w.detail["eigh_calls"] >= res.iterations * len(w.detail["blocks"])
 
 
+@pytest.mark.parametrize("name", ["real symmetric", "complex"])
+def test_witness_json_rows_pair_only_complex_entries(name):
+    w = cb_norm_sdp(_kernels_by_path()[name], tol=1e-4).witness
+    d = json.loads(witness_to_json(w, include_rows=True))
+    for key in ("p_rows", "q_rows"):
+        rows = getattr(w, key)
+        got = np.asarray(d[key])
+        if name == "complex":
+            assert got.shape == rows.shape + (2,)
+            got = got[..., 0] + 1j * got[..., 1]
+        else:
+            assert all(type(v) is float for row in d[key] for v in row)
+        assert np.array_equal(got, rows)
+
+
 def test_cb_norm_dual_pad_scales_with_the_separator():
     # the lower end sqrt(2) comes from a separator; its pad is m eps ||S||
     res = cb_norm_sdp(np.array([[1.0, 1.0], [1.0, -1.0]]), tol=1e-6)
