@@ -1,9 +1,10 @@
 """Experiment orchestration: validated manifests, a registry of module
 operations, and deterministic CSV/JSON reports.
 
-A manifest names one operation and a parameter grid; each grid row becomes a
-report row.  Row failures are recorded and the run continues: rows that break
-an assertion-class invariant (closed forms, reproduction bounds, structural
+A manifest names one operation and a parameter grid; each grid row, checked on
+load against the operation's parameter table, becomes a report row.  Row
+failures are recorded and the run continues: rows that break an
+assertion-class invariant (closed forms, reproduction bounds, structural
 checks) drive the exit code to 1, anything else stays 0.  CSV output contains
 only deterministic columns so re-runs are byte-identical; wall times go to the
 JSON twin.
@@ -16,9 +17,9 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .mlab import (
     separable_multiradial_T,
     tree_product_witness,
 )
-from .symbols import CATALOG, make_symbol
+from .symbols import symbol_constructor
 
 __all__ = [
     "DEFAULTS",
@@ -84,8 +85,8 @@ def _split_args(body: str) -> list:
     return [p.strip() for p in parts if p.strip()]
 
 
-def parse_graph(expr: str):
-    """Small grammar for --graph: T<k>ball(R), cayley(R), product(e, e, ...)."""
+def _graph_plan(expr: str):
+    """Parse a graph expression into a builder, checking it without building."""
     expr = expr.strip()
     if "(" not in expr or not expr.endswith(")"):
         raise ValueError(f"cannot parse graph expression {expr!r}")
@@ -93,18 +94,24 @@ def parse_graph(expr: str):
     body = body[:-1]
     head = head.strip()
     if head == "product":
-        factors = [parse_graph(a) for a in _split_args(body)]
+        factors = [_graph_plan(a) for a in _split_args(body)]
         if not factors:
             raise ValueError("product() needs at least one factor")
-        return product_graph(factors)
+        return lambda: product_graph([build() for build in factors])
     if head == "cayley":
-        return cayley_ball(int(body))
+        radius = int(body)
+        return lambda: cayley_ball(radius)
     if head.startswith("T") and head.endswith("ball"):
-        degree = int(head[1:-4])
+        degree, radius = int(head[1:-4]), int(body)
         if degree < 3:
             raise ValueError(f"tree degree must be at least 3 in {expr!r}")
-        return tree_ball(degree - 1, int(body)).graph
+        return lambda: tree_ball(degree - 1, radius).graph
     raise ValueError(f"unknown graph constructor {head!r}")
+
+
+def parse_graph(expr: str):
+    """Small grammar for --graph: T<k>ball(R), cayley(R), product(e, e, ...)."""
+    return _graph_plan(expr)()
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +120,12 @@ def parse_graph(expr: str):
 
 @dataclass(frozen=True)
 class ExperimentManifest:
-    """One operation, one parameter grid, shared truncation settings."""
+    """One operation, one parameter grid, shared truncation settings.  Rows
+    are checked against the operation's parameter table on construction."""
 
     experiment: str
     operation: str
-    grid: Tuple[Mapping, ...]
+    grid: Tuple[Mapping, ...] = ()
     sizes: Tuple[int, ...] = DEFAULTS["sizes"]
     tol: float = DEFAULTS["tol"]
     out: str = "report"
@@ -127,15 +135,19 @@ class ExperimentManifest:
         if self.operation not in _OPERATIONS:
             raise ValueError(f"unknown operation {self.operation!r}; "
                              f"known: {sorted(_OPERATIONS)}")
-        sizes = tuple(int(s) for s in self.sizes)
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError(f"sizes must be strictly increasing, got {sizes}")
-        object.__setattr__(self, "sizes", sizes)
+        for name, convert in (("sizes", _sizes), ("tol", float), ("seed", _integer)):
+            object.__setattr__(self, name, convert(getattr(self, name)))
         object.__setattr__(self, "grid", tuple(dict(row) for row in self.grid))
-        for row in self.grid:
-            name = row.get("symbol")
-            if name is not None and name not in CATALOG:
-                raise ValueError(f"unknown symbol id {name!r} in grid")
+        table = _OPERATIONS[self.operation][1]
+        for i, row in enumerate(self.grid):
+            for name, value in row.items():
+                if name not in table:
+                    raise ValueError(f"grid row {i}: {self.operation} takes no "
+                                     f"{name!r}; it takes {sorted(table)}")
+                try:
+                    table[name][0](value)
+                except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+                    raise ValueError(f"grid row {i}: bad {name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -149,6 +161,10 @@ class ReportRow:
     wall_time: float
     status: str = "ok"
     message: str = ""
+    # the library object a JSON writer takes (the CLI's sdp, witness), never
+    # reported; kept by one-row runs only, since holding every row's object at
+    # once raised the peak memory of many-row runs
+    result: Any = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -168,15 +184,7 @@ def manifest_from_json(text) -> ExperimentManifest:
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentManifest)})
     if unknown:
         raise ValueError(f"unknown manifest keys {unknown}")
-    return ExperimentManifest(
-        experiment=raw["experiment"],
-        operation=raw["operation"],
-        grid=tuple(raw.get("grid", ())),
-        sizes=tuple(raw.get("sizes", DEFAULTS["sizes"])),
-        tol=float(raw.get("tol", DEFAULTS["tol"])),
-        out=raw.get("out", "report"),
-        seed=int(raw.get("seed", 0)),
-    )
+    return ExperimentManifest(**raw)
 
 
 def built_in_manifest(name: str) -> ExperimentManifest:
@@ -206,81 +214,63 @@ def built_in_manifest(name: str) -> ExperimentManifest:
 
 
 # ---------------------------------------------------------------------------
-# operation executors: params -> (values, verdicts, provenance, status)
+# operation executors: converted parameters -> _Outcome
 
 
-def _symbol_of(params: Mapping):
-    return make_symbol(params["symbol"], *params.get("params", ()))
+class _Outcome(NamedTuple):
+    source: str            # provenance of every value
+    values: dict
+    verdicts: dict
+    ok: bool = True        # False: a pinned invariant broke, the row fails
+    result: Any = None     # the object a JSON writer takes, if there is one
 
 
-def _op_s1_estimate(manifest: ExperimentManifest, params: Mapping):
-    sym = _symbol_of(params)
-    level = int(params["level"])
-    tag = params["tag"]
-    sizes = tuple(params.get("sizes", manifest.sizes))
-    tol = float(params.get("tol", 1e-3))
-    est = s1_estimate(class_spec(sym, level, tag), sizes, tol=tol)
-    src = f"hankel.s1_estimate@K={sizes[-1]}"
+def _op_s1_estimate(manifest, symbol, params, level, tag, sizes, tol):
+    est = s1_estimate(class_spec(symbol(*params), level, tag), sizes, tol=tol)
     values = {"estimate": float(est.values[-1]), "cauchy_gap": float(est.cauchy_gap)}
-    return values, {"s1": est.verdict}, {k: src for k in values}, "ok"
+    return _Outcome(f"hankel.s1_estimate@K={sizes[-1]}", values, {"s1": est.verdict})
 
 
-def _op_rank_one_geom(manifest: ExperimentManifest, params: Mapping):
-    level = int(params["level"])
-    r = float(params["r"])
-    K = int(params.get("K", 400))
+def _op_rank_one_geom(manifest, level, r, K):
     rep = rank_one_geom(level, r, K)
     err = abs(rep.truncated_norm - rep.closed_form_norm)
-    src = f"hankel.rank_one_geom@K={K}"
     values = {"closed_form": rep.closed_form_norm,
               "truncated": rep.truncated_norm, "error": err}
     ok = err <= manifest.tol
-    verdicts = {"agreement": "MATCH" if ok else "MISMATCH"}
-    return values, verdicts, {k: src for k in values}, "ok" if ok else "fail"
+    return _Outcome(f"hankel.rank_one_geom@K={K}", values,
+                    {"agreement": "MATCH" if ok else "MISMATCH"}, ok)
 
 
-def _op_cb_norm(manifest: ExperimentManifest, params: Mapping):
-    graph = parse_graph(params["graph"])
-    sym = _symbol_of(params)
-    tol = float(params.get("tol", 1e-4))
-    res = cb_norm_sdp(radial_kernel(graph, sym), tol=tol)
-    src = f"mlab.cb_norm_sdp@n={graph.size}"
+def _op_cb_norm(manifest, graph, symbol, params, tol):
+    g = graph()
+    res = cb_norm_sdp(radial_kernel(g, symbol(*params)), tol=tol)
     values = {"lower": res.lower, "upper": res.upper, "gap": res.gap,
               "iterations": res.iterations}
-    return values, {"bracket": "CERTIFIED"}, {k: src for k in values}, "ok"
+    return _Outcome(f"mlab.cb_norm_sdp@n={g.size}", values,
+                    {"bracket": "CERTIFIED"}, result=res)
 
 
-def _op_sandwich(manifest: ExperimentManifest, params: Mapping):
-    sym = _symbol_of(params)
-    degrees = tuple(int(d) for d in params["degrees"])
-    radius = int(params.get("radius", DEFAULTS["R"]))
-    rep = sandwich_check(sym, degrees, radius, sizes=manifest.sizes,
-                         tol=float(params.get("tol", 1e-4)),
-                         sdp_tol=float(params.get("sdp_tol", 1e-4)))
+def _op_sandwich(manifest, symbol, params, degrees, radius, tol, sdp_tol):
+    rep = sandwich_check(symbol(*params), degrees, radius, sizes=manifest.sizes,
+                         tol=tol, sdp_tol=sdp_tol)
     last = rep.rows[-1]
-    src = f"mlab.sandwich_check@R={radius}"
     values = {"hankel_norm": rep.hankel_norm, "ceiling": last.ceiling,
               "cb_upper": last.cb_upper, "floor": last.floor_report}
-    verdicts = {"hankel": rep.hankel_verdict, "sandwich": "HOLDS"}
-    return values, verdicts, {k: src for k in values}, "ok"
+    return _Outcome(f"mlab.sandwich_check@R={radius}", values,
+                    {"hankel": rep.hankel_verdict, "sandwich": "HOLDS"})
 
 
-def _op_tree_witness(manifest: ExperimentManifest, params: Mapping):
-    sym = _symbol_of(params)
-    dim = int(params.get("N", 1))
-    radius = int(params.get("radius", DEFAULTS["R"]))
-    cutoff = int(params.get("K", DEFAULTS["K"]))
-    j_tail = int(params.get("j_tail", max(2, cutoff - 2)))
-    T = separable_multiradial_T([sym] * dim, cutoff)
-    balls = [tree_ball(2, radius) for _ in range(dim)]
-    w = tree_product_witness(balls, _product_eval(sym, dim), T, j_tail,
+def _op_tree_witness(manifest, symbol, params, N, radius, K, j_tail):
+    sym = symbol(*params)
+    T = separable_multiradial_T([sym] * N, K)
+    balls = [tree_ball(2, radius) for _ in range(N)]
+    w = tree_product_witness(balls, _product_eval(sym, N), T, j_tail,
                              tol=manifest.tol)
-    src = f"mlab.tree_product_witness@K={cutoff}"
     values = {"certified": w.certified, "tail_bound": w.tail_bound,
               "reproduction_error": w.reproduction_error}
     ok = w.reproduction_error <= w.tail_bound + 1e-9
-    verdicts = {"reproduction": "WITHIN_TAIL" if ok else "EXCEEDED"}
-    return values, verdicts, {k: src for k in values}, "ok" if ok else "fail"
+    return _Outcome(f"mlab.tree_product_witness@K={K}", values,
+                    {"reproduction": "WITHIN_TAIL" if ok else "EXCEEDED"}, ok, w)
 
 
 def _product_eval(sym, dim):
@@ -291,59 +281,99 @@ def _product_eval(sym, dim):
     return lambda d: cast(np.prod([sym(t) for t in d]))
 
 
-def _op_besov_tail(manifest: ExperimentManifest, params: Mapping):
-    sym = _symbol_of(params)
-    level = int(params["level"])
-    tag = params["tag"]
-    grid = int(params.get("grid", DEFAULTS["grid"]))
-    n_max = int(params.get("n_max", 10))
-    verdict = class_series_verdict(sym, level, tag, n_max=n_max, grid=grid)
-    src = f"besov.class_series_verdict@grid={grid}"
-    return {"n_max": n_max}, {"besov": verdict}, {"n_max": src}, "ok"
+def _op_besov_tail(manifest, symbol, params, level, tag, grid, n_max):
+    verdict = class_series_verdict(symbol(*params), level, tag, n_max=n_max, grid=grid)
+    return _Outcome(f"besov.class_series_verdict@grid={grid}", {"n_max": n_max},
+                    {"besov": verdict})
 
 
-def _op_serre_check(manifest: ExperimentManifest, params: Mapping):
-    radius = int(params.get("R", DEFAULTS["R"]))
-    ball = cayley_ball(radius)
+def _op_serre_check(manifest, R):
+    ball = cayley_ball(R)
     emb = serre_embedding(ball)
-    sh = serre_shift(coset_tree(radius))
-    depth = sh.tree.distances[sh.tree.index("e")]
+    sh = serre_shift(coset_tree(R))
     is_word = ["G" not in s for s in sh.tree.labels]
     shifted = {j for v, j in enumerate(sh.image) if j is not None and is_word[v]}
     cosets = {v for v in range(sh.tree.size) if not is_word[v]}
-    ok = emb.check and shifted == cosets
-    src = f"medgraph.serre@R={radius}"
     values = {"ball_size": ball.size, "tree_size": sh.tree.size}
     verdicts = {"doubling": "PASS" if emb.check else "FAIL",
                 "partition": "PASS" if shifted == cosets else "FAIL"}
-    return values, verdicts, {k: src for k in values}, "ok" if ok else "fail"
+    return _Outcome(f"medgraph.serre@R={R}", values, verdicts,
+                    emb.check and shifted == cosets)
 
 
-def _op_median_check(manifest: ExperimentManifest, params: Mapping):
-    degrees = tuple(int(d) for d in params.get("degrees", (3, 3)))
-    radius = int(params.get("radius", 2))
-    triples = int(params.get("triples", 2000))
+def _op_median_check(manifest, degrees, radius, triples):
     graph = product_graph([tree_ball(d - 1, radius).graph for d in degrees])
     g, ray = attach_ray(graph, 0, 8)
     cx = median_complex(g, ray)
     rng = np.random.default_rng(manifest.seed)
-    src = f"medgraph.median@n={g.size}"
     # raises if some median is not unique
     median(cx, *rng.integers(0, g.size, size=(triples, 3)).T)
-    values = {"vertices": g.size, "triples": triples}
-    return values, {"median": "UNIQUE"}, {k: src for k in values}, "ok"
+    return _Outcome(f"medgraph.median@n={g.size}",
+                    {"vertices": g.size, "triples": triples}, {"median": "UNIQUE"})
 
+
+def _integer(value) -> int:
+    """int(value), refusing booleans and non-integral numbers."""
+    number = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _array(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{value!r} is not an array")
+    return tuple(value)
+
+
+def _integers(value) -> tuple:
+    return tuple(_integer(v) for v in _array(value))
+
+
+def _sizes(value) -> tuple:
+    sizes = _integers(value)
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sizes must be strictly increasing, got {sizes}")
+    return sizes
+
+
+# Each operation's parameters: name -> (conversion, default).  A default is
+# _REQUIRED, a value, or a function of the manifest and the arguments
+# converted before it.
+_REQUIRED = object()
+_SYMBOL = {"symbol": (symbol_constructor, _REQUIRED), "params": (_array, ())}
+_CLASS = {"level": (_integer, _REQUIRED), "tag": (str, _REQUIRED)}
 
 _OPERATIONS = {
-    "hankel.s1_estimate": _op_s1_estimate,
-    "hankel.rank_one_geom": _op_rank_one_geom,
-    "mlab.cb_norm_sdp": _op_cb_norm,
-    "mlab.sandwich_check": _op_sandwich,
-    "mlab.tree_product_witness": _op_tree_witness,
-    "besov.class_series_verdict": _op_besov_tail,
-    "medgraph.serre": _op_serre_check,
-    "medgraph.median": _op_median_check,
+    "hankel.s1_estimate": (_op_s1_estimate, {
+        **_SYMBOL, **_CLASS, "sizes": (_sizes, lambda m, args: m.sizes),
+        "tol": (float, 1e-3)}),
+    "hankel.rank_one_geom": (_op_rank_one_geom, {
+        "level": (_integer, _REQUIRED), "r": (float, _REQUIRED), "K": (_integer, 400)}),
+    "mlab.cb_norm_sdp": (_op_cb_norm, {
+        "graph": (_graph_plan, _REQUIRED), **_SYMBOL, "tol": (float, 1e-4)}),
+    "mlab.sandwich_check": (_op_sandwich, {
+        **_SYMBOL, "degrees": (_integers, _REQUIRED),
+        "radius": (_integer, DEFAULTS["R"]), "tol": (float, 1e-4),
+        "sdp_tol": (float, 1e-4)}),
+    "mlab.tree_product_witness": (_op_tree_witness, {
+        **_SYMBOL, "N": (_integer, 1), "radius": (_integer, DEFAULTS["R"]),
+        "K": (_integer, DEFAULTS["K"]),
+        "j_tail": (_integer, lambda m, args: max(2, args["K"] - 2))}),
+    "besov.class_series_verdict": (_op_besov_tail, {
+        **_SYMBOL, **_CLASS, "grid": (_integer, DEFAULTS["grid"]),
+        "n_max": (_integer, 10)}),
+    "medgraph.serre": (_op_serre_check, {"R": (_integer, DEFAULTS["R"])}),
+    "medgraph.median": (_op_median_check, {
+        "degrees": (_integers, (3, 3)), "radius": (_integer, 2),
+        "triples": (_integer, 2000)}),
 }
+
+
+def _default(operation: str, name: str):
+    """A parameter's default from its table, for the CLI's option defaults."""
+    return _OPERATIONS[operation][1][name][1]
+
 
 # failures of these kinds mean a pinned invariant broke, not a refusal
 _ASSERTION_ERRORS = (StructureViolationError, TailBoundExceededError,
@@ -356,19 +386,27 @@ _ASSERTION_ERRORS = (StructureViolationError, TailBoundExceededError,
 
 def _run_row(manifest: ExperimentManifest, params: Mapping) -> ReportRow:
     start = time.perf_counter()
+    executor, table = _OPERATIONS[manifest.operation]
+    values, verdicts, provenance, result, message = {}, {}, {}, None, ""
     try:
-        values, verdicts, provenance, status = _OPERATIONS[manifest.operation](
-            manifest, params)
-        message = ""
+        args = {}
+        for name, (convert, default) in table.items():
+            if name in params or default is _REQUIRED:
+                args[name] = convert(params[name])   # KeyError(name) when missing
+            else:
+                args[name] = default(manifest, args) if callable(default) else default
+        out = executor(manifest, **args)
+        values, verdicts, result = out.values, out.verdicts, out.result
+        provenance = {k: out.source for k in values}
+        status = "ok" if out.ok else "fail"
     except _ASSERTION_ERRORS as exc:
-        values, verdicts, provenance = {}, {}, {}
         status, message = "fail", f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # a malformed row becomes an error row, never ends the run
-        values, verdicts, provenance = {}, {}, {}
         status, message = "error", f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - start
     return ReportRow(manifest.experiment, manifest.operation, dict(params),
-                     values, verdicts, provenance, wall, status, message)
+                     values, verdicts, provenance, wall, status, message,
+                     result if len(manifest.grid) == 1 else None)
 
 
 def run_manifest(manifest: ExperimentManifest, out_dir=None,
@@ -417,12 +455,11 @@ def write_reports(result: RunResult, out_dir) -> Tuple[Path, Path]:
     pcols = _columns(result.rows, "params")
     vcols = _columns(result.rows, "values")
     dcols = _columns(result.rows, "verdicts")
+    complex_cols = {k for k in vcols
+                    if any(isinstance(r.values.get(k), complex) for r in result.rows)}
     header = ["experiment", "operation"] + pcols
     for k in vcols:
-        if any(isinstance(r.values.get(k), complex) for r in result.rows):
-            header += [f"{k}_re", f"{k}_im"]
-        else:
-            header.append(k)
+        header += [f"{k}_re", f"{k}_im"] if k in complex_cols else [k]
     header += dcols + ["status", "message", "provenance"]
 
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -434,11 +471,9 @@ def write_reports(result: RunResult, out_dir) -> Tuple[Path, Path]:
                 line += _cell(row.params.get(k))
             for k in vcols:
                 v = row.values.get(k)
-                if any(isinstance(r.values.get(k), complex) for r in result.rows):
-                    v = complex(v) if v is not None else complex("nan+nanj")
-                    line += [repr(v.real), repr(v.imag)]
-                else:
-                    line += _cell(v)
+                if k in complex_cols:
+                    v = complex("nan+nanj") if v is None else complex(v)
+                line += _cell(v)
             for k in dcols:
                 line += [row.verdicts.get(k, "")]
             prov = ";".join(f"{k}:{row.provenance[k]}" for k in sorted(row.provenance))
@@ -456,8 +491,8 @@ def write_reports(result: RunResult, out_dir) -> Tuple[Path, Path]:
         "exit_code": result.exit_code,
         "rows": [
             {
-                "params": _jsonable(row.params),
-                "values": _jsonable(row.values),
+                "params": _coerce(row.params),
+                "values": _coerce(row.values),
                 "verdicts": dict(row.verdicts),
                 "provenance": dict(row.provenance),
                 "status": row.status,
@@ -473,11 +508,9 @@ def write_reports(result: RunResult, out_dir) -> Tuple[Path, Path]:
     return csv_path, json_path
 
 
-def _jsonable(mapping: Mapping) -> dict:
-    return {k: _coerce(v) for k, v in mapping.items()}
-
-
 def _coerce(v):
+    if isinstance(v, Mapping):
+        return {k: _coerce(x) for k, x in v.items()}
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, (list, tuple)):

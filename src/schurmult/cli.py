@@ -1,13 +1,13 @@
-"""Command-line front end: thin wrappers over the module operations.
+"""Command-line front end: every subcommand runs registry rows.
 
-Exit codes: 0 clean, 1 when an assertion-class check fails, 2 for usage
-errors (click's default).  Reports land next to --out when given, otherwise
-the row summary goes to stdout.
+Each subcommand builds its row from the options and runs it through
+`bench.run_manifest`, with the registry's parameter table, defaults and error
+policy.  Exit codes: 0 clean, 1 when a check fails or a row cannot be
+computed, 2 for usage errors, among them every value the table refuses.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -16,60 +16,73 @@ import click
 from .bench import (
     DEFAULTS,
     ExperimentManifest,
-    _product_eval,
+    _default,
     built_in_manifest,
     manifest_from_json,
-    parse_graph,
     run_manifest,
+    write_reports,
 )
-from .errors import WorkbenchError
-from .mlab import cb_norm_sdp, radial_kernel
-from .serialize import cb_result_to_json
-from .symbols import make_symbol
+from .serialize import cb_result_to_json, witness_to_json
 
 
 def _parse_params(text: str) -> list:
     """Comma-separated constructor arguments; `name=value` names are cosmetic."""
-    out = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" in item:
-            item = item.split("=", 1)[1].strip()
+    return [_number(item.split("=", 1)[-1].strip())
+            for item in text.split(",") if item.strip()]
+
+
+def _number(text: str):
+    for kind in (int, float):
         try:
-            out.append(int(item))
+            return kind(text)
         except ValueError:
-            try:
-                out.append(float(item))
-            except ValueError:
-                out.append(item)
-    return out
+            pass
+    return text
 
 
-def _parse_sizes(text: str) -> tuple:
+def _run_one(operation: str, row: dict, **settings):
+    """Run one registry row; a row the parameter table refuses is a usage error."""
+    experiment = click.get_current_context().info_name   # the subcommand's name
     try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise click.BadParameter(f"sizes must be integers, got {text!r}")
+        manifest = ExperimentManifest(experiment, operation, (row,), **settings)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    return run_manifest(manifest)
 
 
-def _echo_rows(result) -> None:
+def _echo_rows(result, out) -> None:
+    """Print the row summaries, write reports to --out, exit with the run's code."""
     for row in result.rows:
         verdicts = " ".join(f"{k}={v}" for k, v in sorted(row.verdicts.items()))
         values = " ".join(f"{k}={v:.6g}" for k, v in sorted(row.values.items())
                           if isinstance(v, (int, float)) and not isinstance(v, bool))
         tail = f" [{row.message}]" if row.message else ""
         click.echo(f"{row.status:5s} {verdicts} {values}{tail}".rstrip())
+    _finish(result, out)
 
 
 def _finish(result, out) -> None:
     if out is not None:
-        from .bench import write_reports
         csv_path, json_path = write_reports(result, out)
         click.echo(f"wrote {csv_path} and {json_path}")
     if result.exit_code:
         sys.exit(result.exit_code)
+
+
+def _echo_json(result, to_json, include_rows: bool, out) -> None:
+    """Write the row's library object as JSON to --out or stdout."""
+    (row,) = result.rows
+    if row.result is None:
+        raise click.ClickException(row.message)
+    text = to_json(row.result, include_rows=include_rows)
+    if out is not None:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text + "\n", encoding="utf-8")
+        click.echo(f"wrote {path}")
+    else:
+        click.echo(text)
+    _finish(result, None)
 
 
 @click.group()
@@ -83,41 +96,37 @@ def main():
 @click.option("--n", "--N", "level", type=int, required=True, help="Level N")
 @click.option("--class", "tag", type=click.Choice(["A", "B", "C"]), required=True)
 @click.option("--sizes", default=None, help="Comma-separated section sizes")
-@click.option("--tol", type=float, default=1e-3, show_default=True)
+@click.option("--tol", type=float, show_default=True,
+              default=_default("hankel.s1_estimate", "tol"))
 @click.option("--out", type=click.Path(), default=None, help="Report directory")
 def classes(symbol, params, level, tag, sizes, tol, out):
     """Trace-norm growth verdict for one symbol, level, and matrix class."""
     row = {"symbol": symbol, "params": _parse_params(params),
            "level": level, "tag": tag, "tol": tol}
-    manifest = ExperimentManifest(
-        "classes", "hankel.s1_estimate", (row,),
-        sizes=_parse_sizes(sizes) if sizes else DEFAULTS["sizes"])
-    result = run_manifest(manifest)
-    _echo_rows(result)
-    _finish(result, out)
+    _echo_rows(_run_one("hankel.s1_estimate", row,
+                        sizes=sizes.split(",") if sizes else DEFAULTS["sizes"]), out)
 
 
 @main.command()
 @click.option("--n", "--N", "level", type=int, default=1, show_default=True)
 @click.option("--params", default="r=0.5", show_default=True,
               help="Ratio r in (0,1)")
-@click.option("--k", "--K", "size", type=int, default=400, show_default=True)
+@click.option("--k", "--K", "size", type=int, show_default=True,
+              default=_default("hankel.rank_one_geom", "K"))
 @click.option("--tol", type=float, default=DEFAULTS["tol"], show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def norms(level, params, size, tol, out):
     """Rank-one geometric section against its closed-form trace norm."""
     (r,) = _parse_params(params) or (0.5,)
-    row = {"level": level, "r": float(r), "K": size}
-    manifest = ExperimentManifest("norms", "hankel.rank_one_geom", (row,), tol=tol)
-    result = run_manifest(manifest)
-    _echo_rows(result)
-    _finish(result, out)
+    _echo_rows(_run_one("hankel.rank_one_geom", {"level": level, "r": r, "K": size},
+                        tol=tol), out)
 
 
 @main.command()
 @click.option("--symbol", required=True)
 @click.option("--params", default="")
-@click.option("--n", "--N", "dim", type=int, default=1, show_default=True)
+@click.option("--n", "--N", "dim", type=int, show_default=True,
+              default=_default("mlab.tree_product_witness", "N"))
 @click.option("--radius", type=int, default=DEFAULTS["R"], show_default=True)
 @click.option("--k", "--K", "cutoff", type=int, default=DEFAULTS["K"],
               show_default=True, help="Lattice truncation")
@@ -126,28 +135,10 @@ def norms(level, params, size, tol, out):
 @click.option("--out", type=click.Path(), default=None)
 def witness(symbol, params, dim, radius, cutoff, tol, emit_witness, out):
     """Tree-product factorization witness for a centered symbol."""
-    from .medgraph import tree_ball
-    from .mlab import separable_multiradial_T, tree_product_witness
-    from .serialize import witness_to_json
-
-    sym = make_symbol(symbol, *_parse_params(params))
-    try:
-        T = separable_multiradial_T([sym] * dim, cutoff)
-        balls = [tree_ball(2, radius) for _ in range(dim)]
-        w = tree_product_witness(balls, _product_eval(sym, dim), T,
-                                 max(2, cutoff - 2), tol=tol)
-    except WorkbenchError as exc:
-        raise click.ClickException(str(exc))
-    text = witness_to_json(w, include_rows=emit_witness)
-    if out is not None:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n", encoding="utf-8")
-        click.echo(f"wrote {path}")
-    else:
-        click.echo(text)
-    if w.reproduction_error > w.tail_bound + 1e-9:
-        sys.exit(1)
+    row = {"symbol": symbol, "params": _parse_params(params), "N": dim,
+           "radius": radius, "K": cutoff}
+    _echo_json(_run_one("mlab.tree_product_witness", row, tol=tol),
+               witness_to_json, emit_witness, out)
 
 
 @main.command()
@@ -159,15 +150,8 @@ def witness(symbol, params, dim, radius, cutoff, tol, emit_witness, out):
 @click.option("--out", type=click.Path(), default=None)
 def graphs(check, radius, seed, out):
     """Structural graph checks: Serre doubling/partition, median uniqueness."""
-    if check == "serre":
-        row = {"R": radius}
-        manifest = ExperimentManifest("graphs", "medgraph.serre", (row,), seed=seed)
-    else:
-        row = {"degrees": [3, 3], "radius": min(radius, 2), "triples": 2000}
-        manifest = ExperimentManifest("graphs", "medgraph.median", (row,), seed=seed)
-    result = run_manifest(manifest)
-    _echo_rows(result)
-    _finish(result, out)
+    row = {"R": radius} if check == "serre" else {"radius": min(radius, 2)}
+    _echo_rows(_run_one(f"medgraph.{check}", row, seed=seed), out)
 
 
 @main.command()
@@ -182,10 +166,7 @@ def besov(symbol, params, level, tag, grid, out):
     """Dyadic tail verdict of the class-matched series on the circle."""
     row = {"symbol": symbol, "params": _parse_params(params),
            "level": level, "tag": tag, "grid": grid}
-    manifest = ExperimentManifest("besov", "besov.class_series_verdict", (row,))
-    result = run_manifest(manifest)
-    _echo_rows(result)
-    _finish(result, out)
+    _echo_rows(_run_one("besov.class_series_verdict", row), out)
 
 
 @main.command()
@@ -206,28 +187,14 @@ def inclusions(out, jobs):
               help="e.g. product(T3ball(3),T3ball(3))")
 @click.option("--symbol", required=True)
 @click.option("--params", default="")
-@click.option("--tol", type=float, default=1e-4, show_default=True)
+@click.option("--tol", type=float, show_default=True,
+              default=_default("mlab.cb_norm_sdp", "tol"))
 @click.option("--emit-witness", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
 def sdp(expr, symbol, params, tol, emit_witness, out):
     """Certified multiplier-norm bracket for a radial kernel on a graph."""
-    try:
-        graph = parse_graph(expr)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    sym = make_symbol(symbol, *_parse_params(params))
-    try:
-        res = cb_norm_sdp(radial_kernel(graph, sym), tol=tol)
-    except WorkbenchError as exc:
-        raise click.ClickException(str(exc))
-    text = cb_result_to_json(res, include_rows=emit_witness)
-    if out is not None:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n", encoding="utf-8")
-        click.echo(f"wrote {path}")
-    else:
-        click.echo(text)
+    row = {"graph": expr, "symbol": symbol, "params": _parse_params(params), "tol": tol}
+    _echo_json(_run_one("mlab.cb_norm_sdp", row), cb_result_to_json, emit_witness, out)
 
 
 @main.command()
@@ -242,15 +209,14 @@ def run(manifest, out, jobs):
             spec = manifest_from_json(path.read_text(encoding="utf-8"))
         else:
             spec = built_in_manifest(manifest)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise click.UsageError(f"bad manifest {manifest!r}: {exc}")
     result = run_manifest(spec, out_dir=out, jobs=jobs)
     click.echo(f"wrote {result.csv_path} and {result.json_path}")
     failed = [r for r in result.rows if r.status != "ok"]
     for row in failed:
         click.echo(f"  {row.status}: {row.params} {row.message}")
-    if result.exit_code:
-        sys.exit(result.exit_code)
+    _finish(result, None)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ __all__ = [
     "derived_table",
     "CATALOG",
     "make_symbol",
+    "symbol_constructor",
     "discrete_derivative",
     "limits_report",
     "weighted_leibniz_check",
@@ -219,13 +220,17 @@ CATALOG = {
 }
 
 
-def make_symbol(name: str, *params) -> RadialSymbol:
-    """Catalog lookup by id, as used by the command line."""
+def symbol_constructor(name: str):
+    """The catalog constructor of a symbol id."""
     try:
-        ctor = CATALOG[name]
+        return CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown symbol id {name!r}; known: {sorted(CATALOG)}") from None
-    return ctor(*params)
+
+
+def make_symbol(name: str, *params) -> RadialSymbol:
+    """Catalog lookup by id."""
+    return symbol_constructor(name)(*params)
 
 
 @dataclass(frozen=True)

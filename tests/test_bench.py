@@ -24,6 +24,9 @@ from schurmult.bench import (
 )
 from schurmult.cli import main
 from schurmult.medgraph import cayley_ball
+from schurmult.mlab import cb_norm_sdp, radial_kernel
+from schurmult.serialize import cb_result_to_json
+from schurmult.symbols import make_symbol
 
 
 def small_manifest(op, grid, **kw):
@@ -75,6 +78,35 @@ def test_schema_operation_enum_is_the_registry():
     assert SCHEMA["properties"]["operation"]["enum"] == sorted(bench._OPERATIONS)
 
 
+GRID_ITEM = SCHEMA["properties"]["grid"]["items"]
+
+
+def test_schema_grid_keys_are_the_parameter_tables():
+    tables = [table for _, table in bench._OPERATIONS.values()]
+    assert GRID_ITEM["additionalProperties"] is False
+    assert set(GRID_ITEM["properties"]) == set().union(*tables)
+
+
+def test_schema_types_agree_with_the_conversions():
+    strings = {"symbol": "GEOM", "tag": "A", "graph": "T3ball(1)"}
+    for _, table in bench._OPERATIONS.values():
+        for name, (convert, _) in table.items():
+            kind = GRID_ITEM["properties"][name]["type"]
+            if kind == "integer":
+                assert type(convert(3)) is int and convert(3.0) == 3, name
+                with pytest.raises(ValueError):
+                    convert(1.5)
+            elif kind == "number":
+                assert type(convert(1)) is float, name
+            elif kind == "array":
+                assert isinstance(convert([3, 4]), (tuple, list)), name
+                with pytest.raises(ValueError):
+                    convert(3)
+            else:
+                assert kind == "string", name
+                convert(strings[name])
+
+
 def test_schema_properties_are_the_keys_the_loader_accepts():
     assert SCHEMA["additionalProperties"] is False
     full = {"experiment": "demo", "operation": "hankel.rank_one_geom", "grid": [],
@@ -93,6 +125,10 @@ def test_schema_properties_are_the_keys_the_loader_accepts():
      "unknown manifest keys ['sed']"),
     ({"experiment": "x", "operation": "hankel.rank_one_geom", "grid": 5}, "not iterable"),
     ([], "JSON object, got list"),
+    ({"experiment": "x", "operation": "hankel.rank_one_geom",
+      "grid": [{"level": 1, "r": 0.5, "k": 3}]}, "takes no 'k'"),
+    ({"experiment": "x", "operation": "hankel.rank_one_geom",
+      "grid": [{"level": 1.5, "r": 0.5}]}, "1.5 is not an integer"),
 ])
 def test_cli_run_refuses_malformed_manifests(tmp_path, raw, message):
     path = tmp_path / "bad.json"
@@ -325,6 +361,28 @@ def test_cli_usage_errors_exit_two():
     assert runner.invoke(
         main, ["sdp", "--graph", "foo(1)", "--symbol", "GEOM",
                "--params", "r=0.5"]).exit_code == 2
+    for args, message in (
+            (["classes", "--symbol", "FOO", "--n", "1", "--class", "A"],
+             "unknown symbol id 'FOO'"),
+            (["classes", "--symbol", "GEOM", "--params", "0.5", "--n", "1",
+              "--class", "A", "--sizes", "16,8"], "strictly increasing"),
+            (["norms", "--params", "r=abc"], "bad 'r'")):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2 and message in res.output, args
+
+
+def test_cli_witness_refusal_exits_one_with_message():
+    res = CliRunner().invoke(main, ["witness", "--symbol", "PARITY"],
+                             catch_exceptions=False)
+    assert res.exit_code == 1
+    assert "split_radial" in res.output
+
+
+def test_cli_sdp_json_is_the_library_result():
+    res = invoke("sdp", "--graph", "T3ball(1)", "--symbol", "GEOM",
+                 "--params", "r=0.5", "--tol", "1e-3")
+    kernel = radial_kernel(parse_graph("T3ball(1)"), make_symbol("GEOM", 0.5))
+    assert res.output == cb_result_to_json(cb_norm_sdp(kernel, tol=1e-3)) + "\n"
 
 
 def test_cli_failing_row_exits_one(tmp_path):

@@ -402,6 +402,15 @@ def test_median_examples():
         assert np.array_equal(inside.argmax(axis=1), got)
 
 
+def test_scalar_median_calls_cache_nothing():
+    cx = glued(product_graph([tree_ball(2, 2).graph] * 2))
+    before = len(cx._cache)
+    rng = np.random.default_rng(3)
+    for x, y, z in rng.integers(0, cx.graph.size, size=(1000, 3)).tolist():
+        median(cx, x, y, z)
+    assert len(cx._cache) == before
+
+
 def test_hyperplanes_cube_tree_grid():
     cube = product_graph([path_graph(2, p) for p in "abc"])
     cx = median_complex(cube, (0, 1))
