@@ -337,12 +337,18 @@ def _sizes(value) -> tuple:
     return sizes
 
 
+def _tag(value) -> str:
+    if value not in ("A", "B", "C"):
+        raise ValueError(f"class tag must be one of A, B, C, got {value!r}")
+    return value
+
+
 # Each operation's parameters: name -> (conversion, default).  A default is
 # _REQUIRED, a value, or a function of the manifest and the arguments
 # converted before it.
 _REQUIRED = object()
 _SYMBOL = {"symbol": (symbol_constructor, _REQUIRED), "params": (_array, ())}
-_CLASS = {"level": (_integer, _REQUIRED), "tag": (str, _REQUIRED)}
+_CLASS = {"level": (_integer, _REQUIRED), "tag": (_tag, _REQUIRED)}
 
 _OPERATIONS = {
     "hankel.s1_estimate": (_op_s1_estimate, {

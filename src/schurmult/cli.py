@@ -117,7 +117,10 @@ def classes(symbol, params, level, tag, sizes, tol, out):
 @click.option("--out", type=click.Path(), default=None)
 def norms(level, params, size, tol, out):
     """Rank-one geometric section against its closed-form trace norm."""
-    (r,) = _parse_params(params) or (0.5,)
+    values = _parse_params(params) or [0.5]
+    if len(values) != 1:
+        raise click.UsageError(f"--params takes one ratio r, got {params!r}")
+    (r,) = values
     _echo_rows(_run_one("hankel.rank_one_geom", {"level": level, "r": r, "K": size},
                         tol=tol), out)
 

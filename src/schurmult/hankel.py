@@ -23,6 +23,7 @@ from .errors import NotRealError, StructureViolationError, TailUndefinedError
 from .symbols import (
     DerivativeSpec,
     RadialSymbol,
+    _as_fn,
     binomial,
     binomial_weight,
     discrete_derivative,
@@ -606,20 +607,6 @@ def series_tail_flag(terms: Sequence[float]):
     return flag, sums
 
 
-def _as_scalar_fn(a) -> Callable[[int], object]:
-    if isinstance(a, RadialSymbol):
-        return a.eval
-    if callable(a):
-        return a
-
-    def fn(n: int):
-        if n < 0 or n >= len(a):
-            raise TailUndefinedError(f"sequence of length {len(a)} evaluated at {n}")
-        return a[n]
-
-    return fn
-
-
 @dataclass(frozen=True)
 class BonsallReport:
     satisfied: bool
@@ -637,7 +624,7 @@ def bonsall_test(a, mode: str, K: int) -> BonsallReport:
     differences stay nonnegative, then reports the plain partial sum; under
     that hypothesis summability is equivalent to trace class.
     """
-    fn = _as_scalar_fn(a)
+    fn = _as_fn(a)
     if mode == "WEIGHTED":
         vals = [fn(n) for n in range(K + 1)]
         terms = [abs(vals[n - 1] - vals[n]) * n * math.log(n) for n in range(2, K + 1)]

@@ -757,107 +757,41 @@ def _bipartition_or_raise(graph: FiniteGraph):
                 raise NotMedianError("graph has an odd cycle, so it cannot be median")
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _halfspaces(graph: FiniteGraph):
+    """Hyperplanes as Djokovic cuts, with each vertex's side of each.
 
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _edge_partition(graph: FiniteGraph):
-    """Hyperplanes: close the opposite-sides-of-a-square relation."""
-    edge_list = graph.edges()
-    eidx = {e: k for k, e in enumerate(edge_list)}
-
-    def eid(u, v):
-        return eidx[(u, v) if u < v else (v, u)]
-
-    uf = _UnionFind(len(edge_list))
-    nbr_sets = [set(ns) for ns in graph.neighbors]
-    dist = graph.distances
-    for a in range(graph.size):
-        for u, v in itertools.combinations(graph.neighbors[a], 2):
-            for z in nbr_sets[u] & nbr_sets[v]:
-                if z != a and dist[a, z] == 2:
-                    uf.union(eid(a, u), eid(v, z))
-                    uf.union(eid(a, v), eid(u, z))
-    order: Dict[int, int] = {}
-    ids = []
-    for k in range(len(edge_list)):
-        r = uf.find(k)
-        if r not in order:
-            order[r] = len(order)
-        ids.append(order[r])
-    return edge_list, tuple(ids)
-
-
-def _geodesic_ids(graph, eidx, hyp_ids, x, y, pick):
-    """Hyperplane ids crossed by the greedy geodesic chosen by `pick`."""
-    dist = graph.distances
-    crossed = []
-    cur = x
-    while cur != y:
-        down = [v for v in graph.neighbors[cur] if dist[v, y] == dist[cur, y] - 1]
-        nxt = pick(down)
-        e = (cur, nxt) if cur < nxt else (nxt, cur)
-        crossed.append(hyp_ids[eidx[e]])
-        cur = nxt
-    return crossed
-
-
-def _check_crossings(graph, edge_list, hyp_ids, pairs):
-    eidx = {e: k for k, e in enumerate(edge_list)}
-    for x, y in pairs:
-        a = _geodesic_ids(graph, eidx, hyp_ids, x, y, min)
-        b = _geodesic_ids(graph, eidx, hyp_ids, x, y, max)
-        if len(set(a)) != len(a) or set(a) != set(b):
-            raise NotMedianError(
-                f"geodesics {x}->{y} disagree on crossed hyperplanes"
-            )
-
-
-def _complete_square(nbr_sets, p, q, r):
-    """The fourth corner over p,q opposite r; None if absent."""
-    cands = [z for z in nbr_sets[p] & nbr_sets[q] if z != r]
-    if len(cands) > 1:
-        raise NotMedianError(f"vertices {p},{q} have three common neighbors")
-    return cands[0] if cands else None
-
-
-def _cube_from_corner(w, dirs, nbr_sets, dist):
-    """Grow the cube spanned at w by the pairwise-compatible directions.
-
-    Returns all 2^k vertices, or None when some completion is missing or the
-    candidate is not isometric to a cube.
+    In a median graph the hyperplane of an edge (u, v) is the cut between
+    {x : d(x,v) < d(x,u)} and its complement.  Ids follow the first edge of
+    each cut in `graph.edges()` order; `sides[x, h]` is True when x lies
+    across h from vertex 0.  Raises NotMedianError when two cuts share an edge.
     """
-    k = len(dirs)
-    verts = {frozenset(): w}
-    for i, u in enumerate(dirs):
-        verts[frozenset([i])] = u
-    for size in range(2, k + 1):
-        for combo in itertools.combinations(range(k), size):
-            fa = frozenset(combo)
-            a, b = combo[0], combo[1]
-            p = verts[fa - {a}]
-            q = verts[fa - {b}]
-            r = verts[fa - {a, b}]
-            z = _complete_square(nbr_sets, p, q, r)
-            if z is None or dist[w, z] != size:
-                return None
-            if any(z not in nbr_sets[verts[fa - {c}]] for c in combo):
-                return None
-            verts[fa] = z
-    out = frozenset(verts.values())
-    return out if len(out) == 2**k else None
+    dist = graph.distances
+    edge_list = graph.edges()
+    u, v = np.array(edge_list, dtype=np.intp).reshape(-1, 2).T
+    ids = np.full(len(edge_list), -1)
+    cols = []
+    for k in range(len(edge_list)):
+        if ids[k] >= 0:
+            continue
+        side = dist[v[k]] < dist[u[k]]   # rows: the distances are symmetric
+        cut = side[u] != side[v]
+        if (ids[cut] >= 0).any():
+            raise NotMedianError(f"the cut of edge {edge_list[k]} meets another hyperplane")
+        ids[cut] = len(cols)
+        cols.append(side != side[0])
+    sides = np.array(cols, dtype=bool).reshape(len(cols), graph.size).T
+    return edge_list, tuple(ids.tolist()), sides
+
+
+def _check_isometry(dist: np.ndarray, sides: np.ndarray, pairs):
+    """d(x, y) must equal the number of hyperplanes separating x and y."""
+    x, y = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    bad = np.flatnonzero((sides[x] != sides[y]).sum(axis=1) != dist[x, y])
+    if bad.size:
+        k = bad[0]
+        raise NotMedianError(
+            f"d({x[k]},{y[k]}) is not the number of hyperplanes separating them"
+        )
 
 
 def _all_cliques(compat, cap):
@@ -876,26 +810,37 @@ def _all_cliques(compat, cap):
     return out
 
 
-def _enumerate_cubes(graph: FiniteGraph, cap: int = 6):
-    nbr_sets = [set(ns) for ns in graph.neighbors]
+def _enumerate_cubes(graph: FiniteGraph, sides: np.ndarray, cap: int = 6):
+    """Cubes read off the side table, each from its corner nearest vertex 0.
+
+    A vertex's code packs its row of `sides` into an int.  The directions at w
+    are the neighbours with a larger code; a clique of directions that pair up
+    into vertices spans a cube when all its corner codes are vertices at the
+    hypercube's pairwise distances.
+    """
+    packed = np.packbits(sides, axis=1, bitorder="little")
+    codes = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    at = {c: x for x, c in enumerate(codes)}
     dist = graph.distances
-    cubes: Dict[FrozenSet[int], Tuple[int, Tuple[int, ...]]] = {}
-    for w in range(graph.size):
-        nbrs = list(graph.neighbors[w])
-        m = len(nbrs)
-        compat = [[False] * m for _ in range(m)]
-        for i, j in itertools.combinations(range(m), 2):
-            z = _complete_square(nbr_sets, nbrs[i], nbrs[j], w)
-            compat[i][j] = compat[j][i] = z is not None and dist[w, z] == 2
+    # hamming[k][s, t]: the distance between corners s and t of a k-cube
+    weight = np.array([bin(s).count("1") for s in range(2**cap)])
+    hamming = {k: weight[np.bitwise_xor.outer(np.arange(2**k), np.arange(2**k))]
+               for k in range(2, cap + 1)}
+    cubes = []
+    for w, cw in enumerate(codes):
+        bits = [codes[u] ^ cw for u in graph.neighbors[w] if codes[u] > cw]
+        compat = [[cw | a | b in at for b in bits] for a in bits]
         for clique in _all_cliques(compat, cap):
             if len(clique) < 2:
                 continue
-            dirs = tuple(nbrs[i] for i in clique)
-            verts = _cube_from_corner(w, dirs, nbr_sets, dist)
-            if verts is not None:
-                cubes.setdefault(verts, (w, dirs))
-    ordered = sorted(cubes, key=lambda fs: tuple(sorted(fs)))
-    return tuple(ordered)
+            corners = [cw]
+            for i in clique:
+                corners += [c | bits[i] for c in corners]
+            if all(c in at for c in corners):
+                verts = [at[c] for c in corners]
+                if np.array_equal(dist[np.ix_(verts, verts)], hamming[len(clique)]):
+                    cubes.append(frozenset(verts))
+    return tuple(sorted(cubes, key=lambda fs: tuple(sorted(fs))))
 
 
 def median_complex(
@@ -910,7 +855,10 @@ def median_complex(
     Median uniqueness is checked on every triple when n^3 stays below
     `exhaustive_limit`, and otherwise on `samples` seeded random triples,
     both in vectorised batches; a failure names the first bad triple in
-    lexicographic or sample order.
+    lexicographic or sample order.  Hyperplanes are the Djokovic cuts of the
+    edges, which must partition them; on every pair when n <= 60, else on
+    400 seeded pairs, d(x, y) must equal the number of hyperplanes separating
+    x and y.  Cubes are read off the resulting vertex-by-hyperplane side table.
     """
     ray = tuple(int(v) for v in base_ray)
     if len(ray) < 2:
@@ -922,7 +870,7 @@ def median_complex(
 
     _bipartition_or_raise(graph)
     _verify_median(dist, exhaustive_limit, samples, seed)
-    edge_list, hyp_ids = _edge_partition(graph)
+    edge_list, hyp_ids, sides = _halfspaces(graph)
 
     n = graph.size
     if n <= 60:
@@ -930,9 +878,9 @@ def median_complex(
     else:
         rng = np.random.default_rng(seed)
         pairs = [tuple(p) for p in rng.integers(0, n, size=(400, 2)) if p[0] != p[1]]
-    _check_crossings(graph, edge_list, hyp_ids, pairs)
+    _check_isometry(dist, sides, pairs)
 
-    cubes = _enumerate_cubes(graph)
+    cubes = _enumerate_cubes(graph, sides)
     if cubes:
         dimension = max(len(fs).bit_length() - 1 for fs in cubes)
     else:

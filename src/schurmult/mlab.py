@@ -36,7 +36,6 @@ from .medgraph import (
     FiniteGraph,
     MedianComplex,
     TreeBall,
-    meet_data,
     mizuta_vectors,
     pairing,
     parity_witness,
@@ -639,23 +638,14 @@ def separable_multiradial_T(symbols: Sequence[RadialSymbol], cutoff: int,
     pts = lattice_points(dim, cutoff)
     idx = np.array(pts, dtype=np.intp)
     code = idx[:, None, :] + idx[None, :, :]
-    if exact:
-        entries = np.ones((len(pts), len(pts)), dtype=object)
-        for i, sym in enumerate(symbols):
-            vals = [discrete_derivative(sym, _STEP2, t) for t in range(2 * cutoff + 1)]
-            table = np.empty(len(vals), dtype=object)
-            table[:] = vals
-            entries = entries * table[code[:, :, i]]
-    else:
-        entries = np.ones((len(pts), len(pts)), dtype=np.complex128)
-        for i, sym in enumerate(symbols):
-            table = np.asarray(
-                [discrete_derivative(sym, _STEP2, t) for t in range(2 * cutoff + 1)],
-                dtype=np.complex128,
-            )
-            entries = entries * table[code[:, :, i]]
-        if np.abs(entries.imag).max() == 0.0:
-            entries = entries.real
+    dtype = object if exact else np.complex128
+    entries = np.ones((len(pts), len(pts)), dtype=dtype)
+    for i, sym in enumerate(symbols):
+        table = np.empty(2 * cutoff + 1, dtype=dtype)
+        table[:] = [discrete_derivative(sym, _STEP2, t) for t in range(2 * cutoff + 1)]
+        entries = entries * table[code[:, :, i]]
+    if not exact and np.abs(entries.imag).max() == 0.0:
+        entries = entries.real
     prov = {
         "kind": "separable",
         "symbols": tuple(s.label() for s in symbols),
@@ -686,14 +676,14 @@ def _alternating_table(fn, lengths: Sequence[int]) -> Tuple[np.ndarray, np.ndarr
 
 
 def _meet_tables(ball: TreeBall) -> np.ndarray:
-    n = ball.graph.size
-    k0 = np.zeros((n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(x, n):
-            md = meet_data(ball, x, y)
-            k0[x, y] = md.k0
-            k0[y, x] = md.m0
-    return k0
+    """k0[x, y]: how far x's base geodesic runs before it meets y's.
+
+    In a tree that is the Gromov product (d(x,y) + d(x,t) - d(y,t)) / 2 at
+    the far ray end t; `meet_data` walks the geodesics for the same numbers.
+    """
+    d = ball.graph.distances.astype(np.int64)
+    t = d[:, ball.base_ray[-1]]
+    return (d + t[:, None] - t[None, :]) // 2
 
 
 _TAIL_PAD = 1e-12  # flat cover for increments beyond the derivative horizon

@@ -105,6 +105,9 @@ def test_schema_types_agree_with_the_conversions():
             else:
                 assert kind == "string", name
                 convert(strings[name])
+                if "enum" in GRID_ITEM["properties"][name]:
+                    with pytest.raises(ValueError):
+                        convert("D")
 
 
 def test_schema_properties_are_the_keys_the_loader_accepts():
@@ -129,6 +132,9 @@ def test_schema_properties_are_the_keys_the_loader_accepts():
       "grid": [{"level": 1, "r": 0.5, "k": 3}]}, "takes no 'k'"),
     ({"experiment": "x", "operation": "hankel.rank_one_geom",
       "grid": [{"level": 1.5, "r": 0.5}]}, "1.5 is not an integer"),
+    ({"experiment": "x", "operation": "hankel.s1_estimate",
+      "grid": [{"symbol": "GEOM", "params": [0.5], "level": 1, "tag": "D"}]},
+     "class tag must be one of A, B, C, got 'D'"),
 ])
 def test_cli_run_refuses_malformed_manifests(tmp_path, raw, message):
     path = tmp_path / "bad.json"
@@ -366,7 +372,8 @@ def test_cli_usage_errors_exit_two():
              "unknown symbol id 'FOO'"),
             (["classes", "--symbol", "GEOM", "--params", "0.5", "--n", "1",
               "--class", "A", "--sizes", "16,8"], "strictly increasing"),
-            (["norms", "--params", "r=abc"], "bad 'r'")):
+            (["norms", "--params", "r=abc"], "bad 'r'"),
+            (["norms", "--params", "r=0.5,s=1"], "takes one ratio r")):
         res = runner.invoke(main, args)
         assert res.exit_code == 2 and message in res.output, args
 

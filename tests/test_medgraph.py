@@ -1,7 +1,7 @@
 """Tests for graph builds, the free-product ball, and median machinery."""
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -426,6 +426,43 @@ def test_hyperplanes_cube_tree_grid():
     parts = hyperplanes(median_complex(grid, (0, 4)))
     assert len(parts) == 5
     assert sorted(len(p) for p in parts) == [3, 3, 3, 4, 4]
+
+
+@pytest.mark.parametrize("factors, total", [
+    pytest.param([tree_ball(2, 1).graph] * 3, 135, id="T3(1)^3"),
+    pytest.param([tree_ball(2, 2).graph] * 2, 81, id="T3(2)^2"),
+    pytest.param([tree_ball(2, 2).graph, tree_ball(2, 1).graph, path_graph(3)], 267,
+                 id="T3(2)xT3(1)xpath(3)"),
+])
+def test_cube_counts_are_the_product_formula(factors, total):
+    """A k-cube of a product of trees picks an edge in k factors and a vertex
+    in the others, so there are sum_{|S|=k} prod_S e_i prod_{not S} v_j."""
+    g, ray = attach_ray(product_graph(factors), 0, 8)
+    cx = median_complex(g, ray)
+    v = [f.size for f in factors]
+    e = [f.edge_count for f in factors]
+    want = Counter()
+    for S in itertools.product((False, True), repeat=len(factors)):
+        if sum(S) >= 2:
+            want[sum(S)] += int(np.prod(np.where(S, e, v)))
+    assert Counter(len(c).bit_length() - 1 for c in cx.cubes) == want
+    assert sum(want.values()) == total
+    # one hyperplane per factor edge and one per ray edge
+    assert len(hyperplanes(cx)) == sum(e) + len(ray) - 1
+
+
+def test_hyperplane_stage_rejects_what_the_sampled_median_check_passes():
+    g, ray = attach_ray(K23, 0, 4)
+    medgraph._verify_median(g.distances, 0, 1, 0)
+    with pytest.raises(NotMedianError, match="meets another hyperplane"):
+        median_complex(g, ray, exhaustive_limit=0, samples=1, seed=0)
+    # with a hyperplane left out, some distance is no longer a crossing count
+    g, ray = attach_ray(product_graph([path_graph(3), path_graph(3, "q")]), 0, 2)
+    _, _, sides = medgraph._halfspaces(g)
+    pairs = list(itertools.combinations(range(g.size), 2))
+    medgraph._check_isometry(g.distances, sides, pairs)
+    with pytest.raises(NotMedianError, match="hyperplanes separating"):
+        medgraph._check_isometry(g.distances, sides[:, 1:], pairs)
 
 
 def test_stable_median():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurmult import mlab
 from schurmult.errors import (
     ConvergenceError,
     MaxIterExceededError,
@@ -22,6 +23,7 @@ from schurmult.medgraph import (
     attach_ray,
     graph_from_edges,
     median_complex,
+    meet_data,
     product_graph,
     tree_ball,
 )
@@ -329,6 +331,14 @@ def test_rational_telescoping_exact(vals):
 
 
 # ---------------------------------------------------------------- witnesses
+
+
+@pytest.mark.parametrize("branching, radius", [(2, 3), (2, 4), (3, 3)])
+def test_meet_tables_are_the_walked_meet_depths(branching, radius):
+    ball = tree_ball(branching, radius)
+    n = ball.graph.size
+    walked = np.array([[meet_data(ball, x, y).k0 for y in range(n)] for x in range(n)])
+    assert np.array_equal(mlab._meet_tables(ball), walked)
 
 
 def test_tree_witness_geometric_line():
