@@ -264,21 +264,12 @@ def _op_tree_witness(manifest, symbol, params, N, radius, K, j_tail):
     sym = symbol(*params)
     T = separable_multiradial_T([sym] * N, K)
     balls = [tree_ball(2, radius) for _ in range(N)]
-    w = tree_product_witness(balls, _product_eval(sym, N), T, j_tail,
-                             tol=manifest.tol)
+    w = tree_product_witness(balls, [sym] * N, T, j_tail, tol=manifest.tol)
     values = {"certified": w.certified, "tail_bound": w.tail_bound,
               "reproduction_error": w.reproduction_error}
     ok = w.reproduction_error <= w.tail_bound + 1e-9
     return _Outcome(f"mlab.tree_product_witness@K={K}", values,
                     {"reproduction": "WITHIN_TAIL" if ok else "EXCEEDED"}, ok, w)
-
-
-def _product_eval(sym, dim):
-    """Evaluator of the product symbol d -> sym(d_1) ... sym(d_dim)."""
-    if dim == 1:
-        return sym
-    cast = float if sym.real else complex
-    return lambda d: cast(np.prod([sym(t) for t in d]))
 
 
 def _op_besov_tail(manifest, symbol, params, level, tag, grid, n_max):

@@ -297,6 +297,70 @@ def parity_lift(symbol: RadialSymbol) -> Callable[[tuple], object]:
     return fn
 
 
+def _pointwise(phi_tilde) -> Callable[[tuple], object]:
+    """phi~ as a function on integer tuples.
+
+    phi~ takes one of three forms: a RadialSymbol, lifted radially; a
+    sequence of RadialSymbols, meaning the product phi_1(v_1) ... phi_N(v_N);
+    or a callable on integer tuples.
+    """
+    if isinstance(phi_tilde, RadialSymbol):
+        return lambda v: phi_tilde(int(sum(v)))
+    if isinstance(phi_tilde, (tuple, list)):
+        if not all(isinstance(f, RadialSymbol) for f in phi_tilde):
+            raise TypeError("a sequence phi~ must hold RadialSymbols")
+        return lambda v: math.prod(f(int(t)) for f, t in zip(phi_tilde, v))
+    if callable(phi_tilde):
+        return lambda v: phi_tilde(tuple(int(t) for t in v))
+    raise TypeError("expected a RadialSymbol, a sequence of them, "
+                    "or a callable on integer tuples")
+
+
+def _label(phi_tilde, default: str) -> str:
+    if isinstance(phi_tilde, RadialSymbol):
+        return phi_tilde.label()
+    if isinstance(phi_tilde, (tuple, list)):
+        return "product[" + ",".join(f.label() for f in phi_tilde) + "]"
+    return default
+
+
+def _real_if_zero_imag(a: np.ndarray) -> np.ndarray:
+    return a.real if a.dtype == np.complex128 and not a.imag.any() else a
+
+
+def _corner_table(phi_tilde, sides: Sequence[int], step: int = 2, exact: bool = False,
+                  reach: Optional[int] = None):
+    """phi~ on the box with the given sides, and its alternating-corner table
+    der[s] = sum over subsets I of the axes of (-1)^|I| phi~(s + step*chi_I)
+    on the box shortened by `step` along every axis.
+
+    A sequence is never evaluated off its axes: both tables are outer
+    products, in factor order, of the one-axis values f(t) and differences
+    f(t) - f(t + step).  Any other phi~ is evaluated pointwise, at the points
+    whose coordinate total is at most `reach` (all when None); the rest of
+    the box is 0.  Entries are exact scalars when `exact`, else complex, made
+    real when every imaginary part is 0.
+    """
+    fn = _pointwise(phi_tilde)
+    dtype = object if exact else np.complex128
+    if isinstance(phi_tilde, (tuple, list)):
+        if len(phi_tilde) != len(sides):
+            raise ValueError(f"{len(phi_tilde)} factors for a {len(sides)}-dimensional box")
+        axes = [np.array([f(t) for t in range(side)], dtype=dtype)
+                for f, side in zip(phi_tilde, sides)]
+        grid = reduce(np.multiply.outer, axes)
+        der = reduce(np.multiply.outer, [f[:-step] - f[step:] for f in axes])
+    else:
+        grid = np.zeros(tuple(sides), dtype=dtype)
+        for v in itertools.product(*map(range, sides)):
+            if reach is None or sum(v) <= reach:
+                grid[v] = fn(v)
+        der = grid
+        for ax, side in enumerate(sides):
+            der = der.take(range(side - step), ax) - der.take(range(step, side), ax)
+    return _real_if_zero_imag(grid), _real_if_zero_imag(der)
+
+
 def build_multiradial_T(phi_tilde, dim: int, cutoff: int, step: int = 2,
                         exact: bool = False) -> TruncatedMatrix:
     """Lattice section entry(m,n) = sum over subsets I of the coordinates of
@@ -304,6 +368,8 @@ def build_multiradial_T(phi_tilde, dim: int, cutoff: int, step: int = 2,
 
     A RadialSymbol argument is lifted radially; the subset sum then collapses
     to the iterated step difference at |m| + |n|, which is used directly.
+    Any other phi~ (a sequence of symbols or a callable) is read from its
+    alternating-corner table.
     """
     if step not in (1, 2):
         raise ValueError(f"step must be 1 or 2, got {step}")
@@ -324,22 +390,14 @@ def build_multiradial_T(phi_tilde, dim: int, cutoff: int, step: int = 2,
             data = svals[totals[:, None] + totals[None, :]]
         return TruncatedMatrix(data, pts, prov)
 
-    prov["spec"] = getattr(phi_tilde, "__name__", "custom")
-    masks = list(itertools.product((0, step), repeat=dim))
-    signs = [(-1) ** sum(1 for x in mask if x) for mask in masks]
-    n_pts = len(pts)
-    data = np.empty((n_pts, n_pts), dtype=object)
-    for a, m in enumerate(pts):
-        for b, n in enumerate(pts):
-            base = tuple(x + y for x, y in zip(m, n))
-            total = 0
-            for mask, sign in zip(masks, signs):
-                v = phi_tilde(tuple(x + y for x, y in zip(base, mask)))
-                total = total + v if sign > 0 else total - v
-            data[a, b] = total
-    if not exact:
-        data = _to_numeric(data)
-    return TruncatedMatrix(data, pts, prov)
+    prov["spec"] = _label(phi_tilde, getattr(phi_tilde, "__name__", "custom"))
+    # m + n stays in the box of side 2*cutoff + 1, and its corners in the
+    # box of side 2*cutoff + step + 1 below the total 2*cutoff + step*dim
+    _, der = _corner_table(phi_tilde, (2 * cutoff + step + 1,) * dim, step, exact,
+                           reach=2 * cutoff + step * dim)
+    idx = np.array(pts, dtype=np.intp)
+    data = der[tuple(np.moveaxis(idx[:, None, :] + idx[None, :, :], -1, 0))]
+    return TruncatedMatrix(_real_if_zero_imag(data), pts, prov)
 
 
 def _simplex_cutoff(matrix: TruncatedMatrix, dim: int) -> int:
@@ -532,15 +590,17 @@ def _diag_certificate(section: np.ndarray, threshold: float):
     return med2 / med1 >= threshold, med2 / med1
 
 
-def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float,
-                growth_bound: float = 10.0,
-                diag_threshold: float = 0.85) -> S1Estimate:
+_GROWTH_BOUND = 10.0
+_DIAG_THRESHOLD = 0.85
+
+
+def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float) -> S1Estimate:
     """Trace norms over increasing sections and a verdict.
 
     CONVERGENT: the last increment is below tol and increments do not grow
-    over the final three sizes.  DIVERGENT: the diagonal certificate fires,
-    or the values pass growth_bound times the first value with nondecreasing
-    increments.  Anything else is UNDECIDED.
+    over the final three sizes.  DIVERGENT: the diagonal certificate fires
+    (ratio at least 0.85), or the values pass 10 times the first value with
+    nondecreasing increments.  Anything else is UNDECIDED.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -560,10 +620,10 @@ def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float,
             )
     diffs = [b - a for a, b in zip(values, values[1:])]
     gap = diffs[-1]
-    cert, diag_ratio = _diag_certificate(sections[-1], diag_threshold)
+    cert, diag_ratio = _diag_certificate(sections[-1], _DIAG_THRESHOLD)
     shrinking = len(diffs) < 2 or diffs[-1] <= diffs[-2] + 1e-12
     growing = len(diffs) >= 2 and diffs[-1] >= diffs[-2] - 1e-12
-    grown = values[-1] > growth_bound * max(values[0], 1e-300)
+    grown = values[-1] > _GROWTH_BOUND * max(values[0], 1e-300)
     if cert:
         verdict = "DIVERGENT"
     elif gap < tol and shrinking:
@@ -579,8 +639,8 @@ def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float,
             extrapolated = values[-1] + diffs[-1] * rho / (1.0 - rho)
     detail = {
         "tol": tol,
-        "growth_bound": growth_bound,
-        "diag_threshold": diag_threshold,
+        "growth_bound": _GROWTH_BOUND,
+        "diag_threshold": _DIAG_THRESHOLD,
         "diag_ratio": diag_ratio,
         "diag_certificate": cert,
         "growth_trigger": grown and growing,

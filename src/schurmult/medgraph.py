@@ -14,6 +14,7 @@ raises RayTooShortError instead of guessing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
@@ -216,7 +217,7 @@ class TreeBall:
     base_ray: Tuple[int, ...]
 
 
-def tree_ball(branching: int, radius: int, max_vertices: int = 200_000) -> TreeBall:
+def tree_ball(branching: int, radius: int) -> TreeBall:
     """Ball of the (branching+1)-homogeneous tree, deterministic labels."""
     q, R = branching, radius
     if q < 2:
@@ -224,8 +225,6 @@ def tree_ball(branching: int, radius: int, max_vertices: int = 200_000) -> TreeB
     if R < 1:
         raise ValueError(f"radius must be >= 1, got {R}")
     count = 1 + (q + 1) * (q**R - 1) // (q - 1)
-    if count > max_vertices:
-        raise SizeLimitError(f"tree ball would have {count} > {max_vertices} vertices")
     _check_dist_size(count, "tree ball")
 
     labels = ["o"]
@@ -257,17 +256,12 @@ def tree_ball(branching: int, radius: int, max_vertices: int = 200_000) -> TreeB
     return TreeBall(graph, q, R, 0, tuple(ray))
 
 
-def product_graph(factors: Sequence[FiniteGraph], max_vertices: int = 200_000) -> FiniteGraph:
+def product_graph(factors: Sequence[FiniteGraph]) -> FiniteGraph:
     """Direct product with one-coordinate adjacency; distances are additive."""
     if not factors:
         raise ValueError("product needs at least one factor")
     sizes = [g.size for g in factors]
-    total = 1
-    for s in sizes:
-        total *= s
-        if total > max_vertices:
-            raise SizeLimitError(f"product exceeds {max_vertices} vertices")
-    _check_dist_size(total, "product")
+    _check_dist_size(math.prod(sizes), "product")
 
     tuples = list(itertools.product(*[range(s) for s in sizes]))
     flat = {t: i for i, t in enumerate(tuples)}
@@ -430,7 +424,7 @@ def word_distance(x_label: str, y_label: str) -> int:
     return len(word)
 
 
-def cayley_ball(radius: int, max_vertices: int = 200_000) -> FiniteGraph:
+def cayley_ball(radius: int) -> FiniteGraph:
     """Radius-R ball of the rank-three free product of order-3 cyclic groups.
 
     Vertices are reduced alternating words over the six generators; edges join
@@ -440,8 +434,6 @@ def cayley_ball(radius: int, max_vertices: int = 200_000) -> FiniteGraph:
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     count = 1 + 2 * (4**radius - 1)
-    if count > max_vertices:
-        raise SizeLimitError(f"ball would have {count} > {max_vertices} vertices")
     _check_dist_size(count, "Cayley ball")
 
     words = [()]
@@ -472,7 +464,7 @@ def cayley_ball(radius: int, max_vertices: int = 200_000) -> FiniteGraph:
     return graph_from_edges([_word_label(w) for w in words], sorted(edges))
 
 
-def coset_tree(radius: int, max_vertices: int = 500_000) -> FiniteGraph:
+def coset_tree(radius: int) -> FiniteGraph:
     """The coset tree over the radius-R ball: group words plus proper cosets.
 
     Words of length <= R sit at even depth 2*len; a coset vertex g*<factor i>
@@ -482,8 +474,6 @@ def coset_tree(radius: int, max_vertices: int = 500_000) -> FiniteGraph:
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     count = 1 + 3 * (2 ** (2 * radius) - 1)
-    if count > max_vertices:
-        raise SizeLimitError(f"coset tree would have {count} > {max_vertices} vertices")
     _check_dist_size(count, "coset tree")
 
     words = [()]
@@ -494,10 +484,8 @@ def coset_tree(radius: int, max_vertices: int = 500_000) -> FiniteGraph:
             for f in range(3):
                 for e in (1, 2):
                     u = _word_mul(w, f, e)
-                    if len(u) > len(w) and u not in nxt:
+                    if len(u) > len(w):
                         nxt.append(u)
-        seenset = set()
-        nxt = [u for u in nxt if not (u in seenset or seenset.add(u))]
         words.extend(nxt)
         frontier = nxt
 

@@ -27,9 +27,12 @@ from .errors import (
 )
 from .hankel import (
     TruncatedMatrix,
+    _corner_table,
+    _label,
+    _pointwise,
     build_hankel,
+    build_multiradial_T,
     class_spec,
-    lattice_points,
     s1_estimate,
 )
 from .medgraph import (
@@ -153,32 +156,18 @@ def _coordinate_distances(product: BallProduct) -> Tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _tuple_evaluator(phi_tilde) -> Callable[[Tuple[int, ...]], complex]:
-    """Accept a radial symbol (evaluated at the coordinate total) or a
-    callable on integer tuples."""
-    if isinstance(phi_tilde, RadialSymbol):
-        return lambda d: phi_tilde(sum(d))
-    if callable(phi_tilde):
-        return lambda d: phi_tilde(tuple(int(t) for t in d))
-    raise TypeError("expected a RadialSymbol or a callable on tuples")
-
-
 def multiradial_kernel(product: BallProduct, phi_tilde) -> KernelMatrix:
-    """Kernel over a ball product from a function of the distance vector."""
-    fn = _tuple_evaluator(phi_tilde)
+    """Kernel over a ball product from a function of the distance vector:
+    a RadialSymbol (of the summed distance), a sequence of RadialSymbols (their
+    product over the coordinates) or a callable on integer tuples."""
     dists = _coordinate_distances(product)
-    diam = tuple(int(d.max()) for d in dists)
-    table = np.empty(tuple(t + 1 for t in diam), dtype=np.complex128)
-    for d in itertools.product(*(range(t + 1) for t in diam)):
-        table[d] = fn(d)
-    if np.abs(table.imag).max() == 0.0:
-        table = table.real
+    table, _ = _corner_table(phi_tilde, tuple(int(d.max()) + 1 for d in dists))
     matrix = table[tuple(dists)]
+    fn = _pointwise(phi_tilde)
     _spot_check(matrix, lambda x, y: fn(tuple(d[x, y] for d in dists)),
                 product.graph.size)
-    label = phi_tilde.label() if isinstance(phi_tilde, RadialSymbol) else "callable"
     return KernelMatrix(product.graph, matrix,
-                        {"kind": "multiradial", "symbol": label,
+                        {"kind": "multiradial", "symbol": _label(phi_tilde, "callable"),
                          "shape": product.shape})
 
 
@@ -628,51 +617,13 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000,
 
 def separable_multiradial_T(symbols: Sequence[RadialSymbol], cutoff: int,
                             exact: bool = False) -> TruncatedMatrix:
-    """Lattice section for a product of one-variable symbols.
-
-    Entry at (m, n) is the product over coordinates of the step-2 increment
-    of the i-th symbol at m_i + n_i, which is what the alternating corner
-    combination collapses to when the table factors.
-    """
-    dim = len(symbols)
-    pts = lattice_points(dim, cutoff)
-    idx = np.array(pts, dtype=np.intp)
-    code = idx[:, None, :] + idx[None, :, :]
-    dtype = object if exact else np.complex128
-    entries = np.ones((len(pts), len(pts)), dtype=dtype)
-    for i, sym in enumerate(symbols):
-        table = np.empty(2 * cutoff + 1, dtype=dtype)
-        table[:] = [discrete_derivative(sym, _STEP2, t) for t in range(2 * cutoff + 1)]
-        entries = entries * table[code[:, :, i]]
-    if not exact and np.abs(entries.imag).max() == 0.0:
-        entries = entries.real
-    prov = {
-        "kind": "separable",
-        "symbols": tuple(s.label() for s in symbols),
-        "cutoff": cutoff,
-    }
-    return TruncatedMatrix(entries, tuple(pts), prov)
+    """Step-2 lattice section of the product phi_1(v_1) ... phi_N(v_N) of
+    one-variable symbols, built from their one-axis tables."""
+    return build_multiradial_T(tuple(symbols), len(symbols), cutoff, 2, exact)
 
 
 # ---------------------------------------------------------------------------
 # tree product witnesses
-
-
-def _alternating_table(fn, lengths: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Grid of fn over a box plus its step-2 alternating-corner combination."""
-    grid = np.empty(tuple(t + 2 for t in lengths), dtype=np.complex128)
-    for d in itertools.product(*(range(t + 2) for t in lengths)):
-        grid[d] = fn(d)
-    der = grid
-    for ax in range(len(lengths)):
-        sl_lo = [slice(None)] * len(lengths)
-        sl_hi = [slice(None)] * len(lengths)
-        sl_lo[ax] = slice(0, -2)
-        sl_hi[ax] = slice(2, None)
-        der = der[tuple(sl_lo)] - der[tuple(sl_hi)]
-    if np.abs(grid.imag).max() == 0.0:
-        grid, der = grid.real, der.real
-    return grid, der
 
 
 def _meet_tables(ball: TreeBall) -> np.ndarray:
@@ -700,17 +651,20 @@ def tree_product_witness(balls: Sequence[TreeBall], phi_tilde,
     control both sup norms and the certified bound equals its trace norm.
     The value computed for each meet cell is the exact inner product of the
     truncated vectors; `j_tail` caps the per-coordinate summation range and
-    should exceed the section cutoff when an exact value is wanted.
+    should exceed the section cutoff when an exact value is wanted.  phi~ is
+    a RadialSymbol, a sequence of them (their product over the coordinates)
+    or a callable on integer tuples; every symbol must be centered.
     """
     balls = tuple(balls)
     N = len(balls)
     if N == 0:
         raise ValueError("need at least one ball")
-    if isinstance(phi_tilde, RadialSymbol):
-        rep = limits_report(phi_tilde)
+    factors = ((phi_tilde,) if isinstance(phi_tilde, RadialSymbol)
+               else phi_tilde if isinstance(phi_tilde, (tuple, list)) else ())
+    for sym in factors:
+        rep = limits_report(sym)
         if rep.c_plus is not None and max(abs(rep.c_plus), abs(rep.c_minus)) > 1e-8:
             raise ValueError("remove the parity part first (split_radial)")
-    fn = _tuple_evaluator(phi_tilde)
     pts = T.points
     if len(pts[0]) != N:
         raise ValueError(f"section is {len(pts[0])}-dimensional, product is {N}")
@@ -722,7 +676,7 @@ def tree_product_witness(balls: Sequence[TreeBall], phi_tilde,
     # the grid must cover both the meet cells and the section indices
     reach = [max(p[i] for p in pts) for i in range(N)]
     lengths = tuple(2 * max(r, c) + 2 * horizon + 1 for r, c in zip(radii, reach))
-    grid, der = _alternating_table(fn, lengths)
+    grid, der = _corner_table(phi_tilde, tuple(t + 2 for t in lengths))
     dabs = np.abs(der)
     dscale = float(dabs.max())
 
@@ -853,11 +807,13 @@ def _increment_tail(symbol: RadialSymbol, start: int, cache: dict,
     )
 
 
+_MEMBERSHIP_SIZES = (64, 128, 256, 512)
+_PAIR_SAMPLES = 40
+
+
 def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
                    core: Optional[Sequence[int]] = None, tol: float = 1e-6,
-                   membership_check: bool = True,
-                   sizes: Sequence[int] = (64, 128, 256, 512),
-                   samples: int = 40, seed: int = 11) -> FactorizationWitness:
+                   seed: int = 11) -> FactorizationWitness:
     """Certified factorization over a median complex from polytope vectors.
 
     Coordinates are signed polytope indicators at levels k < K tensored with
@@ -876,12 +832,11 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
             f"parity limits of {symbol.label()} undetermined; no centered target"
         )
     cp, cm = rep.c_plus, rep.c_minus
-    if membership_check:
-        est = s1_estimate(class_spec(symbol, cx.dimension, "C"), sizes, tol=1e-3)
-        if est.verdict != "CONVERGENT":
-            raise ConvergenceError(
-                f"plain increment sections of {symbol.label()} are {est.verdict}"
-            )
+    est = s1_estimate(class_spec(symbol, cx.dimension, "C"), _MEMBERSHIP_SIZES, tol=1e-3)
+    if est.verdict != "CONVERGENT":
+        raise ConvergenceError(
+            f"plain increment sections of {symbol.label()} are {est.verdict}"
+        )
     if K - 1 > cx.usable_radius:
         raise RayTooShortError(
             f"K={K} needs usable radius {K - 1}, complex has {cx.usable_radius}"
@@ -935,7 +890,7 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
     # the diagonal-sum shortcut must agree with the actual vector pairings
     rng = np.random.default_rng(seed)
     m = len(core)
-    for _ in range(min(samples, m * m)):
+    for _ in range(min(_PAIR_SAMPLES, m * m)):
         i = int(rng.integers(m))
         j = int(rng.integers(m))
         x, y = int(core[i]), int(core[j])
@@ -993,7 +948,7 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
             "trace_norm": trace_norm,
             "c_plus": cp,
             "c_minus": cm,
-            "checked_pairs": int(min(samples, m * m)),
+            "checked_pairs": int(min(_PAIR_SAMPLES, m * m)),
         },
     )
 

@@ -385,6 +385,13 @@ def test_cli_witness_refusal_exits_one_with_message():
     assert "split_radial" in res.output
 
 
+def test_cli_witness_refuses_parity_on_products():
+    res = CliRunner().invoke(main, ["witness", "--symbol", "PARITY", "--n", "2"],
+                             catch_exceptions=False)
+    assert res.exit_code == 1
+    assert "split_radial" in res.output
+
+
 def test_cli_sdp_json_is_the_library_result():
     res = invoke("sdp", "--graph", "T3ball(1)", "--symbol", "GEOM",
                  "--params", "r=0.5", "--tol", "1e-3")

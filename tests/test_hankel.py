@@ -186,6 +186,35 @@ def test_multiradial_separable_symbol_vanishes():
     assert all(v == 0 for v in T.entries.ravel())
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("step", [1, 2])
+def test_multiradial_symbol_sequence_is_the_pointwise_product(dim, step):
+    syms = [geometric(Fraction(1, 2)),
+            from_table([Fraction(3), Fraction(-1, 2), Fraction(2, 3), Fraction(1, 5)],
+                       tail="ZERO"),
+            geometric(Fraction(2, 3))][:dim]
+
+    def product(v):
+        return math.prod(f(t) for f, t in zip(syms, v))
+
+    T = build_multiradial_T(syms, dim, 3, step=step, exact=True)
+    ref = build_multiradial_T(product, dim, 3, step=step, exact=True)
+    assert T.points == ref.points
+    assert any(v != 0 for v in T.entries.ravel())
+    assert all(a == b for a, b in zip(T.entries.ravel(), ref.entries.ravel()))
+    assert T.provenance["spec"].startswith("product[GEOM(1/2),TABLE(4,ZERO)")
+
+
+def test_multiradial_callable_is_read_below_the_section_totals():
+    # corners of the cutoff-4 section reach total 2*4 + 2*2 = 12, the last
+    # table entry; the rest of the 11 x 11 box would pass the ERROR tail
+    sym = from_table([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9], tail="ERROR")
+    lifted = build_multiradial_T(radial_lift(sym), 2, 4)
+    fast = build_multiradial_T(sym, 2, 4)
+    assert lifted.points == fast.points
+    assert np.array_equal(lifted.entries, fast.entries)
+
+
 # ---------------------------------------------------------------- fold / unfold
 
 

@@ -82,8 +82,6 @@ def test_tree_ball_structure():
         want = 3 if depth[v] < b.radius else 1
         assert len(b.graph.neighbors[v]) == want
     assert [b.graph.labels[v] for v in b.base_ray] == ["o", "0", "0.0"]
-    with pytest.raises(SizeLimitError):
-        tree_ball(2, 10, max_vertices=100)
     with pytest.raises(ValueError):
         tree_ball(1, 2)
     with pytest.raises(ValueError):
@@ -102,9 +100,6 @@ def test_product_distances_additive():
     lone = product_graph([path_graph(3)])
     assert lone.labels == path_graph(3).labels
     assert np.array_equal(lone.distances, path_graph(3).distances)
-
-    with pytest.raises(SizeLimitError):
-        product_graph([tree_ball(2, 3).graph] * 4, max_vertices=1000)
 
 
 def bfs_row(neighbors, source):
@@ -148,13 +143,15 @@ def test_supplied_distances_are_spot_checked():
 
 
 def test_size_guard_counts_distance_memory():
-    # 98,302 and 131,071 vertices pass max_vertices but need 36 and 64 GiB
+    # 98,302, 131,071 and 49,150 vertices need 36, 64 and 9 GiB
     with pytest.raises(SizeLimitError, match="GiB"):
         tree_ball(2, 15)
     with pytest.raises(SizeLimitError, match="GiB"):
         cayley_ball(8)
     with pytest.raises(SizeLimitError, match="GiB"):
         product_graph([tree_ball(2, 6).graph] * 2)
+    with pytest.raises(SizeLimitError, match="9.0 GiB"):
+        coset_tree(7)
 
 
 def test_parity_witness():
@@ -195,8 +192,6 @@ def test_cayley_ball_counts_and_oracle():
     # BFS distances agree with word reduction on every pair
     for i, j in itertools.combinations(range(c.size), 2):
         assert c.distance(i, j) == word_distance(c.labels[i], c.labels[j])
-    with pytest.raises(SizeLimitError):
-        cayley_ball(9, max_vertices=10_000)
     with pytest.raises(ValueError):
         cayley_ball(0)
 
