@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -33,7 +32,6 @@ from .hankel import class_spec, rank_one_geom, s1_estimate
 from .medgraph import (
     attach_ray,
     cayley_ball,
-    coset_tree,
     median,
     median_complex,
     product_graph,
@@ -281,7 +279,7 @@ def _op_besov_tail(manifest, symbol, params, level, tag, grid, n_max):
 def _op_serre_check(manifest, R):
     ball = cayley_ball(R)
     emb = serre_embedding(ball)
-    sh = serre_shift(coset_tree(R))
+    sh = serre_shift(emb.tree)
     is_word = ["G" not in s for s in sh.tree.labels]
     shifted = {j for v, j in enumerate(sh.image) if j is not None and is_word[v]}
     cosets = {v for v in range(sh.tree.size) if not is_word[v]}
@@ -406,11 +404,8 @@ def _run_row(manifest: ExperimentManifest, params: Mapping) -> ReportRow:
                      result if len(manifest.grid) == 1 else None)
 
 
-def run_manifest(manifest: ExperimentManifest, out_dir=None,
-                 jobs: Optional[int] = None) -> RunResult:
+def run_manifest(manifest: ExperimentManifest, out_dir=None, jobs: int = 1) -> RunResult:
     """Execute the grid (optionally threaded), keep row order, write reports."""
-    if jobs is None:
-        jobs = int(os.environ.get("WORKBENCH_JOBS", "1"))
     if jobs > 1 and len(manifest.grid) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = tuple(pool.map(lambda p: _run_row(manifest, p), manifest.grid))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import TailUndefinedError
-from .hankel import class_membership as _class_membership
+from .hankel import class_spec, s1_estimate
 from .symbols import RadialSymbol, binomial
 
 __all__ = [
@@ -271,7 +271,7 @@ def peller_concordance(family: Sequence, level: int, sizes: Sequence[int],
     rows with an UNDECIDED side get agree = None."""
     rows = []
     for symbol, tag in family:
-        est = _class_membership(symbol, level, tag, sizes, tol).estimate
+        est = s1_estimate(class_spec(symbol, level, tag), sizes, tol)
         flag = class_series_verdict(symbol, level, tag, n_max, grid)
         agree = None
         if est.verdict != "UNDECIDED" and flag != "UNDECIDED":

@@ -174,7 +174,7 @@ def besov(symbol, params, level, tag, grid, out):
 
 @main.command()
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=None, help="Parallel rows")
+@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel rows")
 def inclusions(out, jobs):
     """The full class-membership verdict grid over the symbol catalog."""
     result = run_manifest(built_in_manifest("inclusions"), jobs=jobs)
@@ -203,7 +203,7 @@ def sdp(expr, symbol, params, tol, emit_witness, out):
 @main.command()
 @click.argument("manifest")
 @click.option("--out", type=click.Path(), default=".", show_default=True)
-@click.option("--jobs", type=int, default=None, help="Parallel rows")
+@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel rows")
 def run(manifest, out, jobs):
     """Run a manifest: a built-in name or a JSON file path."""
     path = Path(manifest)

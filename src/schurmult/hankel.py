@@ -55,8 +55,6 @@ __all__ = [
     "series_tail_flag",
     "BonsallReport",
     "bonsall_test",
-    "ClassReport",
-    "class_membership",
     "RankOneReport",
     "rank_one_geom",
     "SphereBoundReport",
@@ -708,26 +706,6 @@ def bonsall_test(a, mode: str, K: int) -> BonsallReport:
     terms = [float(v) for v in vals[: K + 1]]
     flag, sums = series_tail_flag(terms)
     return BonsallReport(nonneg, float(sum(terms)), flag, sums)
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    estimate: S1Estimate
-    besov_crosscheck: Optional[str]
-
-
-def class_membership(symbol: RadialSymbol, level: int, tag: str,
-                     sizes: Sequence[int], tol: float,
-                     crosscheck: bool = False) -> ClassReport:
-    """Level-N class verdict for a symbol, optionally cross-checked against
-    the dyadic series verdict."""
-    est = s1_estimate(class_spec(symbol, level, tag), sizes, tol)
-    cross = None
-    if crosscheck:
-        from .besov import class_series_verdict  # deferred, avoids an import cycle
-
-        cross = class_series_verdict(symbol, level, tag)
-    return ClassReport(est, cross)
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,8 +108,10 @@ class FiniteGraph:
 # the dense int32 distance matrix is the one O(n^2) structure every graph
 # keeps; builds whose matrix would pass this many bytes are refused up front
 _MAX_DIST_BYTES = 1 << 30
-# bytes of the boolean (sources x n x degree) neighbour gather per BFS block
-_BFS_BLOCK_BYTES = 1 << 22
+# bytes per temporary of a blocked pass: the boolean (sources x n x degree)
+# neighbour gather of a BFS block, the float32 (rows x n) crossing counts of
+# an isometry block
+_BLOCK_BYTES = 1 << 22
 
 
 def _check_dist_size(n: int, what: str):
@@ -137,7 +139,7 @@ def _all_pairs_bfs(neighbors: Sequence[Sequence[int]], sources=None) -> np.ndarr
         itertools.chain.from_iterable(neighbors), dtype=np.intp, count=int(lengths.sum())
     )
     dist = np.full((len(sources), n), -1, dtype=np.int32)
-    block = max(1, _BFS_BLOCK_BYTES // max(1, n * degree))
+    block = max(1, _BLOCK_BYTES // max(1, n * degree))
     for lo in range(0, len(sources), block):
         batch = sources[lo : lo + block]
         out = dist[lo : lo + len(batch)]
@@ -654,11 +656,56 @@ def serre_shift(tree: FiniteGraph) -> SerreShift:
 
 
 @dataclass(frozen=True, eq=False)
+class _CodeTable:
+    """Each vertex's row of the hyperplane side table packed into bytes (bit h
+    is set when the vertex lies across hyperplane h from vertex 0), with a
+    code -> vertex lookup: `keys` holds the codes in sorted order and
+    `vertices` the vertex of each."""
+
+    codes: np.ndarray
+    keys: np.ndarray
+    vertices: np.ndarray
+
+
+def _keys(codes: np.ndarray) -> np.ndarray:
+    """One sortable key per C-contiguous code along the last axis: its bytes."""
+    return codes.view(np.dtype((np.void, codes.shape[-1])))[..., 0]
+
+
+def _code_table(sides: np.ndarray) -> _CodeTable:
+    codes = np.ascontiguousarray(np.packbits(sides, axis=1, bitorder="little"))
+    keys = _keys(codes)
+    order = np.argsort(keys)
+    return _CodeTable(codes, keys[order], order)
+
+
+def _majority(table: _CodeTable, x, y, z):
+    """The vertex whose code is the coordinate-wise majority of the codes of
+    x, y and z: in a partial cube, the one vertex that can lie in all three
+    pairwise intervals.
+
+    x, y, z are vertex indices or index arrays, which broadcast.  Raises
+    NotMedianError for the first triple, in input order, whose majority is
+    not a vertex.
+    """
+    a, b, c = table.codes[x], table.codes[y], table.codes[z]
+    want = _keys((a & (b | c)) | (b & c))   # (a & b) | (b & c) | (a & c)
+    pos = np.searchsorted(table.keys, want)
+    miss = table.keys.take(pos, mode="clip") != want
+    if miss.any():
+        k = np.flatnonzero(miss)[0]
+        x, y, z = (np.ravel(v)[k] for v in np.broadcast_arrays(x, y, z))
+        raise NotMedianError(f"triple ({x},{y},{z}) has no median: its majority is not a vertex")
+    return table.vertices[pos]
+
+
+@dataclass(frozen=True, eq=False)
 class MedianComplex:
     """A verified median graph with its cube skeleton and a base ray.
 
     `hyperplane_ids[k]` is the hyperplane class of `edge_list[k]`; `cubes`
-    holds the vertex sets of all cubes of dimension >= 2.
+    holds the vertex sets of all cubes of dimension >= 2; `codes` holds each
+    vertex's sides of the hyperplanes, from which every median is read.
     """
 
     graph: FiniteGraph
@@ -667,6 +714,7 @@ class MedianComplex:
     edge_list: Tuple[Tuple[int, int], ...]
     hyperplane_ids: Tuple[int, ...]
     cubes: Tuple[FrozenSet[int], ...]
+    codes: _CodeTable = field(repr=False)
     _cache: dict = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -680,61 +728,6 @@ class MedianComplex:
 
 def _interval_mask(dist: np.ndarray, x: int, y: int) -> np.ndarray:
     return dist[x] + dist[y] == dist[x, y]
-
-
-# elements per temporary (triples x n) array of a batched median pass
-_MEDIAN_BLOCK_ELEMENTS = 1 << 18
-
-
-def _medians(dist: np.ndarray, x, y, z):
-    """The median of each triple: the one vertex in all three pairwise intervals.
-
-    x, y, z are vertex indices or equal-length index arrays; the perimeters,
-    given a trailing axis, broadcast against the rows dist[x] in both cases.
-    A vertex v lies in I(x,y), I(y,z) and I(z,x) exactly when
-    2 (d(v,x) + d(v,y) + d(v,z)) = d(x,y) + d(y,z) + d(z,x): the difference is
-    the sum of the three defects d(v,x) + d(v,y) - d(x,y), each >= 0 by the
-    triangle inequality.  Raises NotMedianError for the first triple, in
-    input order, whose candidate count is not one.
-    """
-    mask = 2 * (dist[x] + dist[y] + dist[z]) == (
-        dist[x, y] + dist[y, z] + dist[z, x])[..., None]
-    # one triple: the flat count is several times cheaper than a row sum
-    counts = mask.sum(axis=-1) if mask.ndim > 1 else np.count_nonzero(mask)
-    if np.count_nonzero(counts != 1):
-        k = np.flatnonzero(counts != 1)[0]
-        x, y, z, c = (np.ravel(a)[k] for a in np.broadcast_arrays(x, y, z, counts))
-        raise NotMedianError(f"triple ({x},{y},{z}) has {c} median candidates")
-    return mask.argmax(axis=-1)
-
-
-def _median_blocks(dist: np.ndarray, x, y, z) -> np.ndarray:
-    """`_medians` of long index arrays (a scalar broadcasts), block by block,
-    on int16 distances when a sum of six of them fits."""
-    fits = 6 * int(dist.max(initial=0)) <= np.iinfo(np.int16).max
-    d = dist.astype(np.int16 if fits else np.int32)
-    x, y, z = np.broadcast_arrays(x, y, z)
-    out = np.empty(len(x), dtype=np.intp)
-    step = max(1, _MEDIAN_BLOCK_ELEMENTS // d.shape[0])
-    for lo in range(0, len(x), step):
-        s = slice(lo, lo + step)
-        out[s] = _medians(d, x[s], y[s], z[s])
-    return out
-
-
-def _verify_median(dist: np.ndarray, exhaustive_limit: int, samples: int, seed: int):
-    """Unique triple-interval points: every triple when n^3 <= exhaustive_limit,
-    else `samples` seeded random triples, in sample order."""
-    n = dist.shape[0]
-    if n**3 <= exhaustive_limit:
-        # the candidate set is symmetric in (x, y, z), so x <= y <= z in
-        # lexicographic order is as strict and meets the same first bad triple
-        for x in range(n):
-            y, z = np.triu_indices(n - x)
-            _median_blocks(dist, x, y + x, z + x)
-        return
-    rng = np.random.default_rng(seed)
-    _median_blocks(dist, *rng.integers(0, n, size=(samples, 3)).T)
 
 
 def _bipartition_or_raise(graph: FiniteGraph):
@@ -771,15 +764,21 @@ def _halfspaces(graph: FiniteGraph):
     return edge_list, tuple(ids.tolist()), sides
 
 
-def _check_isometry(dist: np.ndarray, sides: np.ndarray, pairs):
-    """d(x, y) must equal the number of hyperplanes separating x and y."""
-    x, y = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    bad = np.flatnonzero((sides[x] != sides[y]).sum(axis=1) != dist[x, y])
-    if bad.size:
-        k = bad[0]
-        raise NotMedianError(
-            f"d({x[k]},{y[k]}) is not the number of hyperplanes separating them"
-        )
+def _check_isometry(dist: np.ndarray, sides: np.ndarray):
+    """d(x, y) must equal the number of hyperplanes separating x and y on
+    every pair: popcount(code_x ^ code_y) = |S_x| + |S_y| - 2 |S_x & S_y| for
+    the side sets S, from one matrix product per block of rows."""
+    s = sides.astype(np.float32)   # exact: the counts stay below 2^24
+    size = s.sum(axis=1)
+    step = max(1, _BLOCK_BYTES // (4 * len(s)))
+    for lo in range(0, len(s), step):
+        crossed = size[lo : lo + step, None] + size - 2 * (s[lo : lo + step] @ s.T)
+        bad = np.argwhere(crossed != dist[lo : lo + step])
+        if bad.size:
+            x, y = bad[0]
+            raise NotMedianError(
+                f"d({lo + x},{y}) is not the number of hyperplanes separating them"
+            )
 
 
 def _all_cliques(compat, cap):
@@ -798,22 +797,17 @@ def _all_cliques(compat, cap):
     return out
 
 
-def _enumerate_cubes(graph: FiniteGraph, sides: np.ndarray, cap: int = 6):
-    """Cubes read off the side table, each from its corner nearest vertex 0.
+def _enumerate_cubes(graph: FiniteGraph, codes: np.ndarray, cap: int = 6):
+    """Cubes read off the codes, each from its corner nearest vertex 0.
 
-    A vertex's code packs its row of `sides` into an int.  The directions at w
-    are the neighbours with a larger code; a clique of directions that pair up
-    into vertices spans a cube when all its corner codes are vertices at the
-    hypercube's pairwise distances.
+    The codes are taken as ints for the bit arithmetic.  The directions at w
+    are the neighbours with a larger code, one hyperplane bit each; a clique
+    of directions that pair up into vertices spans a cube when all its corner
+    codes are vertices.  With the isometry checked on every pair, such
+    corners sit at the hypercube's pairwise distances.
     """
-    packed = np.packbits(sides, axis=1, bitorder="little")
-    codes = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    codes = [int.from_bytes(row.tobytes(), "little") for row in codes]
     at = {c: x for x, c in enumerate(codes)}
-    dist = graph.distances
-    # hamming[k][s, t]: the distance between corners s and t of a k-cube
-    weight = np.array([bin(s).count("1") for s in range(2**cap)])
-    hamming = {k: weight[np.bitwise_xor.outer(np.arange(2**k), np.arange(2**k))]
-               for k in range(2, cap + 1)}
     cubes = []
     for w, cw in enumerate(codes):
         bits = [codes[u] ^ cw for u in graph.neighbors[w] if codes[u] > cw]
@@ -825,28 +819,28 @@ def _enumerate_cubes(graph: FiniteGraph, sides: np.ndarray, cap: int = 6):
             for i in clique:
                 corners += [c | bits[i] for c in corners]
             if all(c in at for c in corners):
-                verts = [at[c] for c in corners]
-                if np.array_equal(dist[np.ix_(verts, verts)], hamming[len(clique)]):
-                    cubes.append(frozenset(verts))
+                cubes.append(frozenset(at[c] for c in corners))
     return tuple(sorted(cubes, key=lambda fs: tuple(sorted(fs))))
 
 
-def median_complex(
-    graph: FiniteGraph,
-    base_ray: Sequence[int],
-    exhaustive_limit: int = 2_000_000,
-    samples: int = 100_000,
-    seed: int = 7,
-) -> MedianComplex:
+# the majority-closure check visits every triple x <= y <= z while n^3 stays
+# at or below _EXHAUSTIVE_LIMIT, and otherwise _SAMPLES seeded random triples
+_EXHAUSTIVE_LIMIT = 2_000_000
+_SAMPLES = 100_000
+
+
+def median_complex(graph: FiniteGraph, base_ray: Sequence[int], seed: int = 7) -> MedianComplex:
     """Verify a graph is median and package its cube combinatorics.
 
-    Median uniqueness is checked on every triple when n^3 stays below
-    `exhaustive_limit`, and otherwise on `samples` seeded random triples,
-    both in vectorised batches; a failure names the first bad triple in
-    lexicographic or sample order.  Hyperplanes are the Djokovic cuts of the
-    edges, which must partition them; on every pair when n <= 60, else on
-    400 seeded pairs, d(x, y) must equal the number of hyperplanes separating
-    x and y.  Cubes are read off the resulting vertex-by-hyperplane side table.
+    A graph is median exactly when it is a partial cube whose codes are
+    closed under coordinate-wise majority (Mulder 1980; Bandelt 1984).
+    Hyperplanes are the Djokovic cuts of the edges, which must partition
+    them, and each vertex's sides of them pack into its code.  On every pair,
+    d(x, y) must equal the number of hyperplanes separating x and y.  Then
+    the majority of every triple x <= y <= z must be a vertex when
+    n^3 <= _EXHAUSTIVE_LIMIT, and otherwise that of _SAMPLES seeded random
+    triples; a failure names the first bad triple in lexicographic or sample
+    order.  Cubes are read off the codes.
     """
     ray = tuple(int(v) for v in base_ray)
     if len(ray) < 2:
@@ -857,36 +851,36 @@ def median_complex(
             raise ValueError("base ray is not a geodesic")
 
     _bipartition_or_raise(graph)
-    _verify_median(dist, exhaustive_limit, samples, seed)
     edge_list, hyp_ids, sides = _halfspaces(graph)
-
+    _check_isometry(dist, sides)
+    table = _code_table(sides)
     n = graph.size
-    if n <= 60:
-        pairs = list(itertools.combinations(range(n), 2))
+    if n**3 <= _EXHAUSTIVE_LIMIT:
+        # the majority is symmetric in (x, y, z), so x <= y <= z in
+        # lexicographic order meets the same first bad triple as all n^3
+        for x in range(n):
+            y, z = np.triu_indices(n - x)
+            _majority(table, x, y + x, z + x)
     else:
-        rng = np.random.default_rng(seed)
-        pairs = [tuple(p) for p in rng.integers(0, n, size=(400, 2)) if p[0] != p[1]]
-    _check_isometry(dist, sides, pairs)
+        _majority(table, *np.random.default_rng(seed).integers(0, n, size=(_SAMPLES, 3)).T)
 
-    cubes = _enumerate_cubes(graph, sides)
+    cubes = _enumerate_cubes(graph, table.codes)
     if cubes:
         dimension = max(len(fs).bit_length() - 1 for fs in cubes)
     else:
         dimension = 1 if edge_list else 0
-    return MedianComplex(graph, ray, dimension, edge_list, hyp_ids, cubes)
+    return MedianComplex(graph, ray, dimension, edge_list, hyp_ids, cubes, table)
 
 
 def median(cx: MedianComplex, x, y, z):
-    """The unique vertex in all three pairwise intervals.
+    """The median of x, y and z: the vertex whose code is their majority.
 
-    x, y, z may also be equal-length index arrays: the medians of all those
-    triples come back as an array from one batched pass.  A triple without a
-    unique median raises NotMedianError, for arrays the first such triple in
-    order.
+    x, y, z may also be index arrays, which broadcast; the medians of all
+    those triples come back as an array from one pass.  A triple whose
+    majority is not a vertex has no median and raises NotMedianError, for
+    arrays the first such triple in order.
     """
-    if not isinstance(x, (int, np.integer)):
-        return _median_blocks(cx.graph.distances, x, y, z)
-    return int(_medians(cx.graph.distances, x, y, z))
+    return _majority(cx.codes, x, y, z)
 
 
 def hyperplanes(cx: MedianComplex) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
@@ -898,20 +892,26 @@ def hyperplanes(cx: MedianComplex) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     return tuple(tuple(g) for g in groups)
 
 
-def stable_median(cx: MedianComplex, x1: int, x2: int) -> int:
-    """Median against the far end of the base ray, demanded stable there."""
+def _stable_medians(cx: MedianComplex, x1, x2):
+    """Medians of pairs (indices or index arrays) against the far end of the
+    base ray, demanded equal one ray step earlier and inside the pair's
+    interval."""
     if len(cx.base_ray) < 3:
         raise RayTooShortError("base ray too short to witness stabilization")
-    deep = median(cx, x1, x2, cx.base_ray[-1])
-    prev = median(cx, x1, x2, cx.base_ray[-2])
-    if deep != prev:
-        raise RayTooShortError(
-            f"median of ({x1},{x2}) still moving at the end of the base ray"
-        )
+    deep = _majority(cx.codes, x1, x2, cx.base_ray[-1])
+    moving = np.flatnonzero(deep != _majority(cx.codes, x1, x2, cx.base_ray[-2]))
+    if moving.size:
+        a, b = (np.ravel(v)[moving[0]] for v in np.broadcast_arrays(x1, x2))
+        raise RayTooShortError(f"median of ({a},{b}) still moving at the end of the base ray")
     d = cx.graph.distances
-    if d[x1, deep] + d[deep, x2] != d[x1, x2]:
+    if (d[x1, deep] + d[deep, x2] != d[x1, x2]).any():
         raise StructureViolationError("stable median left the interval")
     return deep
+
+
+def stable_median(cx: MedianComplex, x1: int, x2: int) -> int:
+    """Median against the far end of the base ray, demanded stable there."""
+    return int(_stable_medians(cx, x1, x2))
 
 
 def stable_median_table(cx: MedianComplex, vertices: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -928,21 +928,10 @@ def stable_median_table(cx: MedianComplex, vertices: Optional[Sequence[int]] = N
     cached = cx._cache.get(key)
     if cached is not None:
         return cached
-    if len(cx.base_ray) < 3:
-        raise RayTooShortError("base ray too short to witness stabilization")
     # medians are symmetric in the pair: compute the upper triangle, mirror it
     i, j = np.triu_indices(len(sub))
-    dist = cx.graph.distances
-    deep = _median_blocks(dist, sub[i], sub[j], cx.base_ray[-1])
-    prev = _median_blocks(dist, sub[i], sub[j], cx.base_ray[-2])
-    moving = np.flatnonzero(deep != prev)
-    if moving.size:
-        k = moving[0]
-        raise RayTooShortError(
-            f"median of ({sub[i[k]]},{sub[j[k]]}) still moving at the end of the base ray"
-        )
     table = np.empty((len(sub), len(sub)), dtype=np.int32)
-    table[i, j] = table[j, i] = deep
+    table[i, j] = table[j, i] = _stable_medians(cx, sub[i], sub[j])
     cx._cache[key] = table
     return table
 

@@ -278,6 +278,7 @@ class CbNormResult:
 
 _FEAS_EPS = 1e-9          # step gap accepted as a feasible meeting point
 _SNAP_EVERY = 20
+_INNER_CAP = 2000         # iterations per level before it counts as a cap
 _STALL_WINDOW = 40
 _STALL_MIN_ITERS = 120
 _EPS = float(np.finfo(np.float64).eps)
@@ -421,8 +422,7 @@ def _dual_bound(drift: np.ndarray, blocks: _Blocks, rounds: int = 12):
     return num / den, pad
 
 
-def _feasibility(blocks: _Blocks, c: float, z: np.ndarray, inner_cap: int,
-                 cert_target: float):
+def _feasibility(blocks: _Blocks, c: float, z: np.ndarray, cert_target: float):
     """Douglas-Rachford pass between the cone and the affine slice at level c.
 
     The step gap converges to the distance between the sets: a vanishing gap
@@ -439,14 +439,14 @@ def _feasibility(blocks: _Blocks, c: float, z: np.ndarray, inner_cap: int,
     r = np.inf
     drift = None
     dual_at = -10_000
-    for it in range(1, inner_cap + 1):
+    for it in range(1, _INNER_CAP + 1):
         w, V = blocks.eigh(z)
         y = _psd_part(w, V)
         refl = blocks.affine(2 * y - z, c)
         drift = y - refl
         r = float(np.linalg.norm(drift))
         z = z + refl - y
-        if it % _SNAP_EVERY == 0 or r <= _FEAS_EPS or it == inner_cap:
+        if it % _SNAP_EVERY == 0 or r <= _FEAS_EPS or it == _INNER_CAP:
             snap = _snapshot(w, V, blocks)
             if best is None or snap[0] < best[0]:
                 best = snap
@@ -465,8 +465,8 @@ def _feasibility(blocks: _Blocks, c: float, z: np.ndarray, inner_cap: int,
     if r > 10 * _FEAS_EPS and drift is not None:
         dual = max(dual, _dual_bound(drift, blocks))
         if dual[0] > c:
-            return False, z, best, dual, inner_cap, r
-    return None, z, best, dual, inner_cap, r
+            return False, z, best, dual, _INNER_CAP, r
+    return None, z, best, dual, _INNER_CAP, r
 
 
 def _assemble_witness(snap, B: np.ndarray, detail: dict) -> FactorizationWitness:
@@ -514,8 +514,7 @@ def _assemble_witness(snap, B: np.ndarray, detail: dict) -> FactorizationWitness
     )
 
 
-def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000,
-                inner_cap: int = 2000) -> CbNormResult:
+def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000) -> CbNormResult:
     """Schur multiplier norm of a finite kernel, bracketed to width tol.
 
     A level c is feasible exactly when the doubled matrix [[X, B], [B*, Y]]
@@ -566,7 +565,7 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000,
     stuck = 0
     while True:
         verdict, z, snap, dual, used, r = _feasibility(
-            blocks, c, z, inner_cap, c + 0.25 * tol)
+            blocks, c, z, c + 0.25 * tol)
         total += used
         tag = {True: "feasible", False: "infeasible", None: "cap"}[verdict]
         trace.append((float(c), tag, used, float(r)))

@@ -236,6 +236,22 @@ def test_median_row_draws_the_per_triple_sequence(monkeypatch):
     assert drawn.tolist() == [rng.integers(0, n, size=3).tolist() for _ in range(300)]
 
 
+def test_serre_row_builds_its_coset_tree_once(monkeypatch):
+    sizes = []
+    build = medgraph.graph_from_edges
+
+    def recording(labels, edges, distances=None):
+        g = build(labels, edges, distances)
+        sizes.append(g.size)
+        return g
+
+    monkeypatch.setattr(medgraph, "graph_from_edges", recording)
+    (row,) = run_manifest(small_manifest("medgraph.serre", ({"R": 2},))).rows
+    assert row.status == "ok"
+    # the Cayley ball (31 vertices), then one coset tree (46 vertices)
+    assert sizes == [31, 46]
+
+
 def test_complex_product_witness_row_stays_complex():
     # I_POWER(1.0) used to trip the complex-to-float cast and report a section
     # mismatch; its step-2 differences decay only like n^-2, so now the tail
@@ -274,9 +290,8 @@ def test_broken_tail_row_is_assertion_fail():
     assert result.rows[0].status == "fail"
 
 
-def test_jobs_env_is_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("WORKBENCH_JOBS", "2")
-    result = run_manifest(built_in_manifest("geom-norms"), out_dir=tmp_path)
+def test_jobs_env_is_respected(tmp_path):
+    result = run_manifest(built_in_manifest("geom-norms"), out_dir=tmp_path, jobs=2)
     assert result.exit_code == 0
     # parallel execution must not reorder rows
     levels = [row.params["level"] for row in result.rows]

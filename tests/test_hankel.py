@@ -23,7 +23,6 @@ from schurmult.hankel import (
     box_section,
     build_hankel,
     build_multiradial_T,
-    class_membership,
     class_spec,
     even_subsample,
     fold_unfold,
@@ -504,9 +503,8 @@ def test_bonsall_weighted_alternating():
 
 
 def test_class_membership_smoke():
-    rep = class_membership(geometric(0.5), 1, "B", [20, 40, 80], 1e-8)
-    assert rep.estimate.verdict == "CONVERGENT"
-    assert rep.besov_crosscheck is None
+    est = s1_estimate(class_spec(geometric(0.5), 1, "B"), [20, 40, 80], 1e-8)
+    assert est.verdict == "CONVERGENT"
 
 
 def test_sphere_indicator_bound():

@@ -316,12 +316,13 @@ def test_median_complex_rejects_non_median():
 
 
 def reference_first_bad_triple(dist, triples):
-    """Reference: the median check one triple at a time, in the given order."""
+    """Reference: the triple-interval check one triple at a time, in the given
+    order; the first triple without exactly one median candidate, or None."""
     for x, y, z in triples:
         mask = ((dist[x] + dist[y] == dist[x, y]) & (dist[y] + dist[z] == dist[y, z])
                 & (dist[z] + dist[x] == dist[z, x]))
         if mask.sum() != 1:
-            return f"triple ({x},{y},{z}) has {mask.sum()} median candidates"
+            return int(x), int(y), int(z)
     return None
 
 
@@ -332,41 +333,52 @@ def check_triples(n, samples, seed, exhaustive):
     return np.random.default_rng(seed).integers(0, n, size=(samples, 3))
 
 
+def check_branch(monkeypatch, n, samples, exhaustive):
+    """Send median_complex's majority check down one branch."""
+    monkeypatch.setattr(medgraph, "_EXHAUSTIVE_LIMIT", n**3 if exhaustive else 0)
+    monkeypatch.setattr(medgraph, "_SAMPLES", samples)
+
+
 K23 = graph_from_edges(list("abcde"), [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 C6 = graph_from_edges([f"c{i}" for i in range(6)], [(i, (i + 1) % 6) for i in range(6)])
+C200 = graph_from_edges([f"c{i}" for i in range(200)], [(i, (i + 1) % 200) for i in range(200)])
 
 
 @pytest.mark.parametrize("graph, seed, exhaustive", [
     pytest.param(K23, 7, False, id="graph0-7"),
     pytest.param(C6, 3, False, id="graph1-3"),
-    pytest.param(graph_from_edges([f"c{i}" for i in range(200)],
-                                  [(i, (i + 1) % 200) for i in range(200)]), 7, False,
-                 id="graph2-7"),
+    pytest.param(C200, 7, False, id="graph2-7"),
     pytest.param(K23, 7, True, id="K23-exhaustive"),
     pytest.param(C6, 3, True, id="C6-exhaustive"),
+    pytest.param(C200, 7, True, id="C200-exhaustive"),
 ])
-def test_batched_median_check_names_the_first_bad_triple(graph, seed, exhaustive):
+def test_batched_median_check_names_the_first_bad_triple(monkeypatch, graph, seed, exhaustive):
+    # every graph here has a triple without a median.  Even cycles are partial
+    # cubes, so they pass the hyperplane and isometry stages and the majority
+    # check names the first bad triple; the Djokovic cuts of K2,3 overlap, so
+    # the hyperplane stage refuses it before either branch of the majority check
     n = graph.size
-    limit = n**3 if exhaustive else 0
-    want = reference_first_bad_triple(graph.distances, check_triples(n, 1000, seed, exhaustive))
-    assert want is not None
+    bad = reference_first_bad_triple(graph.distances, check_triples(n, 1000, seed, exhaustive))
+    assert bad is not None
+    check_branch(monkeypatch, n, 1000, exhaustive)
     with pytest.raises(NotMedianError) as exc:
-        medgraph._verify_median(graph.distances, limit, 1000, seed)
-    assert str(exc.value) == want
-    with pytest.raises(NotMedianError):
-        median_complex(graph, (0, graph.neighbors[0][0]), exhaustive_limit=limit, seed=seed)
+        median_complex(graph, (0, graph.neighbors[0][0]), seed=seed)
+    if graph is K23:
+        assert "meets another hyperplane" in str(exc.value)
+    else:
+        assert str(exc.value).startswith("triple (%d,%d,%d) has no median" % bad)
 
 
-def test_batched_median_check_passes_median_graphs():
+def test_batched_median_check_passes_median_graphs(monkeypatch):
     g, ray = attach_ray(product_graph([tree_ball(2, 2).graph] * 2), 0, 6)
     assert reference_first_bad_triple(g.distances, check_triples(g.size, 3000, 5, False)) is None
-    medgraph._verify_median(g.distances, 0, 3000, 5)
-    assert median_complex(g, ray, exhaustive_limit=0, samples=3000).dimension == 2
+    check_branch(monkeypatch, g.size, 3000, False)
+    assert median_complex(g, ray, seed=5).dimension == 2
     # the exhaustive branch, which visits x <= y <= z only, on a small product
     g, ray = attach_ray(product_graph([tree_ball(2, 1).graph, path_graph(3)]), 0, 3)
     assert reference_first_bad_triple(g.distances, check_triples(g.size, 0, 0, True)) is None
-    medgraph._verify_median(g.distances, g.size**3, 0, 0)
-    assert median_complex(g, ray, exhaustive_limit=g.size**3).dimension == 2
+    check_branch(monkeypatch, g.size, 0, True)
+    assert median_complex(g, ray).dimension == 2
 
 
 def test_median_examples():
@@ -404,6 +416,39 @@ def test_scalar_median_calls_cache_nothing():
     for x, y, z in rng.integers(0, cx.graph.size, size=(1000, 3)).tolist():
         median(cx, x, y, z)
     assert len(cx._cache) == before
+
+
+def interval_medians(dist, x, y, z):
+    """Reference: the one vertex in all three pairwise intervals, per triple."""
+    inside = ((dist[x] + dist[y] == dist[x, y, None]) & (dist[y] + dist[z] == dist[y, z, None])
+              & (dist[z] + dist[x] == dist[z, x, None]))
+    assert (inside.sum(axis=1) == 1).all()
+    return inside.argmax(axis=1)
+
+
+SMALL_FACTORS = (tree_ball(2, 1).graph, tree_ball(2, 2).graph, tree_ball(3, 1).graph,
+                 path_graph(2), path_graph(3), path_graph(4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=3)
+       .filter(lambda fs: np.prod([f.size for f in fs]) <= 120),
+       st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_majority_medians_are_the_interval_medians(factors, length, seed):
+    core = product_graph(factors)
+    g, ray = attach_ray(core, 0, length)
+    cx = median_complex(g, ray)
+    d = g.distances
+    xs, ys, zs = np.random.default_rng(seed).integers(0, g.size, size=(3, 300))
+    want = interval_medians(d, xs, ys, zs)
+    assert np.array_equal(median(cx, xs, ys, zs), want)
+    triples = zip(xs[:40].tolist(), ys[:40].tolist(), zs[:40].tolist())
+    assert [median(cx, x, y, z) for x, y, z in triples] == want[:40].tolist()
+    # stable medians: the interval medians at both ends of the base ray
+    table = stable_median_table(cx, range(core.size))
+    x, y = np.indices(table.shape).reshape(2, -1)
+    for end in cx.base_ray[-2:]:
+        assert np.array_equal(interval_medians(d, x, y, np.full_like(x, end)), table.ravel())
 
 
 def test_hyperplanes_cube_tree_grid():
@@ -446,18 +491,22 @@ def test_cube_counts_are_the_product_formula(factors, total):
     assert len(hyperplanes(cx)) == sum(e) + len(ray) - 1
 
 
-def test_hyperplane_stage_rejects_what_the_sampled_median_check_passes():
+def test_hyperplane_stage_rejects_what_the_sampled_median_check_passes(monkeypatch):
+    # K2,3 with a ray attached still has triples without a median, but its
+    # Djokovic cuts overlap, and the hyperplane stage runs before either
+    # branch of the majority check
     g, ray = attach_ray(K23, 0, 4)
-    medgraph._verify_median(g.distances, 0, 1, 0)
-    with pytest.raises(NotMedianError, match="meets another hyperplane"):
-        median_complex(g, ray, exhaustive_limit=0, samples=1, seed=0)
+    assert reference_first_bad_triple(g.distances, check_triples(g.size, 0, 0, True)) is not None
+    for exhaustive in (False, True):
+        check_branch(monkeypatch, g.size, 1, exhaustive)
+        with pytest.raises(NotMedianError, match="meets another hyperplane"):
+            median_complex(g, ray, seed=0)
     # with a hyperplane left out, some distance is no longer a crossing count
     g, ray = attach_ray(product_graph([path_graph(3), path_graph(3, "q")]), 0, 2)
     _, _, sides = medgraph._halfspaces(g)
-    pairs = list(itertools.combinations(range(g.size), 2))
-    medgraph._check_isometry(g.distances, sides, pairs)
+    medgraph._check_isometry(g.distances, sides)
     with pytest.raises(NotMedianError, match="hyperplanes separating"):
-        medgraph._check_isometry(g.distances, sides[:, 1:], pairs)
+        medgraph._check_isometry(g.distances, sides[:, 1:])
 
 
 def test_stable_median():
