@@ -43,7 +43,6 @@ from .mlab import (
     cb_norm_sdp,
     radial_kernel,
     sandwich_check,
-    separable_multiradial_T,
     tree_product_witness,
 )
 from .symbols import symbol_constructor
@@ -260,9 +259,8 @@ def _op_sandwich(manifest, symbol, params, degrees, radius, tol, sdp_tol):
 
 def _op_tree_witness(manifest, symbol, params, N, radius, K, j_tail):
     sym = symbol(*params)
-    T = separable_multiradial_T([sym] * N, K)
     balls = [tree_ball(2, radius) for _ in range(N)]
-    w = tree_product_witness(balls, [sym] * N, T, j_tail, tol=manifest.tol)
+    w = tree_product_witness(balls, [sym] * N, K, j_tail, tol=manifest.tol)
     values = {"certified": w.certified, "tail_bound": w.tail_bound,
               "reproduction_error": w.reproduction_error}
     ok = w.reproduction_error <= w.tail_bound + 1e-9
@@ -279,15 +277,11 @@ def _op_besov_tail(manifest, symbol, params, level, tag, grid, n_max):
 def _op_serre_check(manifest, R):
     ball = cayley_ball(R)
     emb = serre_embedding(ball)
+    # raises StructureViolationError unless the shifted words are the cosets
     sh = serre_shift(emb.tree)
-    is_word = ["G" not in s for s in sh.tree.labels]
-    shifted = {j for v, j in enumerate(sh.image) if j is not None and is_word[v]}
-    cosets = {v for v in range(sh.tree.size) if not is_word[v]}
     values = {"ball_size": ball.size, "tree_size": sh.tree.size}
-    verdicts = {"doubling": "PASS" if emb.check else "FAIL",
-                "partition": "PASS" if shifted == cosets else "FAIL"}
-    return _Outcome(f"medgraph.serre@R={R}", values, verdicts,
-                    emb.check and shifted == cosets)
+    verdicts = {"doubling": "PASS" if emb.check else "FAIL", "partition": "PASS"}
+    return _Outcome(f"medgraph.serre@R={R}", values, verdicts, emb.check)
 
 
 def _op_median_check(manifest, degrees, radius, triples):

@@ -153,7 +153,7 @@ def witness(symbol, params, dim, radius, cutoff, tol, emit_witness, out):
 @click.option("--out", type=click.Path(), default=None)
 def graphs(check, radius, seed, out):
     """Structural graph checks: Serre doubling/partition, median uniqueness."""
-    row = {"R": radius} if check == "serre" else {"radius": min(radius, 2)}
+    row = {"R": radius} if check == "serre" else {"radius": radius}
     _echo_rows(_run_one(f"medgraph.{check}", row, seed=seed), out)
 
 

@@ -359,6 +359,12 @@ def _corner_table(phi_tilde, sides: Sequence[int], step: int = 2, exact: bool = 
     return _real_if_zero_imag(grid), _real_if_zero_imag(der)
 
 
+def _lattice_section(der: np.ndarray, pts: Sequence[tuple]) -> np.ndarray:
+    """entry(m, n) = der[m + n] for m, n over the lattice points."""
+    idx = np.array(pts, dtype=np.intp)
+    return der[tuple(np.moveaxis(idx[:, None, :] + idx[None, :, :], -1, 0))]
+
+
 def build_multiradial_T(phi_tilde, dim: int, cutoff: int, step: int = 2,
                         exact: bool = False) -> TruncatedMatrix:
     """Lattice section entry(m,n) = sum over subsets I of the coordinates of
@@ -393,9 +399,7 @@ def build_multiradial_T(phi_tilde, dim: int, cutoff: int, step: int = 2,
     # box of side 2*cutoff + step + 1 below the total 2*cutoff + step*dim
     _, der = _corner_table(phi_tilde, (2 * cutoff + step + 1,) * dim, step, exact,
                            reach=2 * cutoff + step * dim)
-    idx = np.array(pts, dtype=np.intp)
-    data = der[tuple(np.moveaxis(idx[:, None, :] + idx[None, :, :], -1, 0))]
-    return TruncatedMatrix(_real_if_zero_imag(data), pts, prov)
+    return TruncatedMatrix(_real_if_zero_imag(_lattice_section(der, pts)), pts, prov)
 
 
 def _simplex_cutoff(matrix: TruncatedMatrix, dim: int) -> int:

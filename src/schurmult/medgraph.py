@@ -924,15 +924,10 @@ def stable_median_table(cx: MedianComplex, vertices: Optional[Sequence[int]] = N
     if vertices is None:
         vertices = range(cx.graph.size)
     sub = np.asarray(tuple(vertices), dtype=np.intp)
-    key = ("mtable", sub.tobytes())
-    cached = cx._cache.get(key)
-    if cached is not None:
-        return cached
     # medians are symmetric in the pair: compute the upper triangle, mirror it
     i, j = np.triu_indices(len(sub))
     table = np.empty((len(sub), len(sub)), dtype=np.int32)
     table[i, j] = table[j, i] = _stable_medians(cx, sub[i], sub[j])
-    cx._cache[key] = table
     return table
 
 

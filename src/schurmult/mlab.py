@@ -29,10 +29,12 @@ from .hankel import (
     TruncatedMatrix,
     _corner_table,
     _label,
+    _lattice_section,
     _pointwise,
-    build_hankel,
+    _trace_norm,
     build_multiradial_T,
     class_spec,
+    lattice_points,
     s1_estimate,
 )
 from .medgraph import (
@@ -639,20 +641,22 @@ def _meet_tables(ball: TreeBall) -> np.ndarray:
 _TAIL_PAD = 1e-12  # flat cover for increments beyond the derivative horizon
 
 
-def tree_product_witness(balls: Sequence[TreeBall], phi_tilde,
-                         T: TruncatedMatrix, j_tail: int,
-                         tol: float = 1e-6) -> FactorizationWitness:
+def tree_product_witness(balls: Sequence[TreeBall], phi_tilde, cutoff: int,
+                         j_tail: int, tol: float = 1e-6) -> FactorizationWitness:
     """Certified factorization of a product kernel by telescoping sums.
 
     Coordinates are indexed by points on geodesics toward the base rays; the
     matched-tail structure makes the inner product at (x, y) a diagonal sum
-    of T entries starting at the meet depths, so the polar factors of T
-    control both sup norms and the certified bound equals its trace norm.
+    of section entries T[m0 + j, k0 + j] starting at the meet depths, so the
+    polar factors of T control both sup norms and the certified bound equals
+    its trace norm.  T is the step-2 lattice section of phi~ on the points
+    with |m| <= cutoff; its entry T[m, n] is the alternating-corner table at
+    m + n, so the section and every cell's diagonal sum come from one table.
     The value computed for each meet cell is the exact inner product of the
     truncated vectors; `j_tail` caps the per-coordinate summation range and
-    should exceed the section cutoff when an exact value is wanted.  phi~ is
-    a RadialSymbol, a sequence of them (their product over the coordinates)
-    or a callable on integer tuples; every symbol must be centered.
+    should exceed the cutoff when an exact value is wanted.  phi~ is a
+    RadialSymbol, a sequence of them (their product over the coordinates) or
+    a callable on integer tuples; every symbol must be centered.
     """
     balls = tuple(balls)
     N = len(balls)
@@ -664,36 +668,22 @@ def tree_product_witness(balls: Sequence[TreeBall], phi_tilde,
         rep = limits_report(sym)
         if rep.c_plus is not None and max(abs(rep.c_plus), abs(rep.c_minus)) > 1e-8:
             raise ValueError("remove the parity part first (split_radial)")
-    pts = T.points
-    if len(pts[0]) != N:
-        raise ValueError(f"section is {len(pts[0])}-dimensional, product is {N}")
-    pt_index = {p: i for i, p in enumerate(pts)}
-    Tnum = T.as_numeric()
 
     radii = tuple(b.radius for b in balls)
     horizon = j_tail + (64 if N <= 2 else 16)
     # the grid must cover both the meet cells and the section indices
-    reach = [max(p[i] for p in pts) for i in range(N)]
-    lengths = tuple(2 * max(r, c) + 2 * horizon + 1 for r, c in zip(radii, reach))
-    grid, der = _corner_table(phi_tilde, tuple(t + 2 for t in lengths))
+    grid, der = _corner_table(phi_tilde, tuple(2 * max(r, cutoff) + 2 * horizon + 3
+                                               for r in radii))
     dabs = np.abs(der)
     dscale = float(dabs.max())
 
-    # the section must be the alternating-corner table of the same function
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        a = int(rng.integers(len(pts)))
-        b = int(rng.integers(len(pts)))
-        s = tuple(p + q for p, q in zip(pts[a], pts[b]))
-        if abs(Tnum[a, b] - der[s]) > 1e-10 * (1.0 + dscale):
-            raise ValueError(
-                f"section entry {pts[a]},{pts[b]} does not match the symbol table"
-            )
+    pts = lattice_points(N, cutoff)
+    sup_p = sup_q = float(np.sqrt(_trace_norm(_lattice_section(der, pts))))
+    certified = sup_p * sup_q
 
-    A, B = polar_factor(T)
-    certified = float(np.linalg.norm(A) * np.linalg.norm(B))
-    sup_q = float(np.linalg.norm(A))
-    sup_p = float(np.linalg.norm(B))
+    # offsets j of a cell's diagonal sum, with j_i < j_tail on every axis
+    inner = (slice(0, j_tail),) * N
+    jsum = sum(np.ogrid[inner])
 
     k0_tables = [_meet_tables(b) for b in balls]
     factor_cells = []
@@ -715,24 +705,14 @@ def tree_product_witness(balls: Sequence[TreeBall], phi_tilde,
         seen[key] = True
         n_cells += 1
 
-        value = 0.0 + 0.0j
-        included_abs = 0.0
-        for j in itertools.product(range(j_tail), repeat=N):
-            a = tuple(m + q for m, q in zip(m0vec, j))
-            b = tuple(k + q for k, q in zip(k0vec, j))
-            ia = pt_index.get(a)
-            ib = pt_index.get(b)
-            if ia is None or ib is None:
-                continue
-            value += Tnum[ia, ib]
-            included_abs += abs(Tnum[ia, ib])
-
+        # T[m0 + j, k0 + j] = der[s + 2j] exists while both totals stay <= cutoff
         svec = tuple(k + m for k, m in zip(k0vec, m0vec))
-        sub = dabs
-        for ax, s0 in enumerate(svec):
-            sl = [slice(None)] * N
-            sl[ax] = slice(s0, s0 + 2 * horizon, 2)
-            sub = sub[tuple(sl)]
+        box = tuple(slice(s0, s0 + 2 * horizon, 2) for s0 in svec)
+        sub = dabs[box]
+        mask = jsum <= cutoff - max(sum(k0vec), sum(m0vec))
+        value = der[box][inner][mask].sum()
+        included_abs = float(sub[inner][mask].sum())
+
         total_abs = float(sub.sum())
         shell = 0.0
         for ax in range(N):
@@ -851,12 +831,13 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
     l1 = dist[core[:, None], mt]
     l2 = dist[core[None, :].repeat(len(core), axis=0), mt]
 
-    H = build_hankel(class_spec(symbol, 1, "C"), K).as_numeric()
     hv = np.asarray(
         [discrete_derivative(symbol, _STEP2, t)
          for t in range(2 * K + 2 * int(l1.max()) + 2)],
-        dtype=H.dtype,
+        dtype=float if symbol.real else complex,
     )
+    idx = np.arange(K)
+    H = hv[idx[:, None] + idx[None, :]]   # the plain increment section
     At, Bt = polar_factor(H)
     trace_norm = float(np.linalg.norm(At) * np.linalg.norm(Bt))
     anorm2 = (np.abs(At) ** 2).sum(axis=0)

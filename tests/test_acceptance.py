@@ -52,7 +52,6 @@ from schurmult.mlab import (
     median_witness,
     radial_kernel,
     sandwich_check,
-    separable_multiradial_T,
     tree_product_witness,
 )
 from schurmult.symbols import (
@@ -234,15 +233,13 @@ def test_07_factorization_witnesses_reproduce_their_kernels():
     sym = geometric(0.5)
     ball = tree_ball(2, 3)
 
-    w1 = tree_product_witness([ball], sym, separable_multiradial_T([sym], 16),
-                              14)
+    w1 = tree_product_witness([ball], sym, 16, 14)
     assert w1.reproduction_error <= w1.tail_bound + 1e-12
     assert w1.reproduction_error < 1e-6
 
     # per-axis depth 16 needs a graded cutoff of 32 in two variables
-    T2 = separable_multiradial_T([sym] * 2, 32)
     w2 = tree_product_witness([ball] * 2, lambda d: sym(d[0]) * sym(d[1]),
-                              T2, 14)
+                              32, 14)
     assert w2.reproduction_error <= w2.tail_bound + 1e-12
     assert w2.reproduction_error < 1e-6
 

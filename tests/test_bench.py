@@ -338,6 +338,12 @@ def test_cli_graphs_serre():
     assert "doubling=PASS" in res.output and "partition=PASS" in res.output
 
 
+def test_cli_graphs_median_uses_the_radius():
+    res = invoke("graphs", "--check", "median", "--r", "3")
+    assert res.exit_code == 0
+    assert "median=UNIQUE" in res.output and "vertices=492" in res.output
+
+
 def test_cli_sdp_emits_json():
     res = invoke("sdp", "--graph", "T3ball(1)", "--symbol", "GEOM",
                  "--params", "r=0.5", "--tol", "1e-3")

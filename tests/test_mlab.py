@@ -1,5 +1,6 @@
 """Tests for kernels, the multiplier-norm SDP, and witness builders."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -147,8 +148,7 @@ def test_split_radial_refuses_slow_symbols():
 
 def test_recombined_bound_adds_limit_norms():
     ball = tree_ball(2, 3)
-    T = separable_multiradial_T([geometric(0.5)], cutoff=40)
-    w = tree_product_witness([ball], geometric(0.5), T, j_tail=36)
+    w = tree_product_witness([ball], geometric(0.5), cutoff=40, j_tail=36)
     total = recombined_bound(ball.graph, w, 0.3, -0.2)
     assert total == pytest.approx(w.certified + 0.5)
     triangle = graph_from_edges(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
@@ -351,8 +351,7 @@ def test_meet_tables_are_the_walked_meet_depths(branching, radius):
 
 def test_tree_witness_geometric_line():
     sym = geometric(0.5)
-    T = separable_multiradial_T([sym], cutoff=40)
-    w = tree_product_witness([tree_ball(2, 3)], sym, T, j_tail=36)
+    w = tree_product_witness([tree_ball(2, 3)], sym, cutoff=40, j_tail=36)
     # rank-one increments: truncated trace norm is 1 - r^(2(cutoff+1))
     assert w.certified == pytest.approx(1.0 - 0.5 ** 82, abs=1e-10)
     assert w.reproduction_error <= w.tail_bound + 1e-9
@@ -361,17 +360,15 @@ def test_tree_witness_geometric_line():
 
 def test_tree_witness_product_of_geometrics():
     s1, s2 = geometric(0.5), geometric(0.3)
-    T = separable_multiradial_T([s1, s2], cutoff=24)
     w = tree_product_witness([tree_ball(2, 2), tree_ball(2, 2)],
-                             lambda d: s1(d[0]) * s2(d[1]), T, j_tail=20)
+                             lambda d: s1(d[0]) * s2(d[1]), cutoff=24, j_tail=20)
     assert w.certified == pytest.approx(1.0, abs=1e-9)
     assert w.reproduction_error <= w.tail_bound + 1e-9
 
 
 def test_tree_witness_three_balls_from_one_axis_tables():
     sym = geometric(0.2)
-    T = separable_multiradial_T([sym] * 3, cutoff=18)
-    w = tree_product_witness([tree_ball(2, 1)] * 3, [sym] * 3, T, j_tail=6)
+    w = tree_product_witness([tree_ball(2, 1)] * 3, [sym] * 3, cutoff=18, j_tail=6)
     assert w.certified == pytest.approx(1.0, abs=1e-9)
     assert w.reproduction_error <= w.tail_bound
     assert w.detail["cells"] == 112
@@ -379,25 +376,75 @@ def test_tree_witness_three_balls_from_one_axis_tables():
 
 def test_tree_witness_finite_support_exact():
     fin = from_table([1.0, 0.5, 0.25, 0.125], tail="ZERO", name="FIN")
-    T = separable_multiradial_T([fin, fin], cutoff=12)
     w = tree_product_witness([tree_ball(2, 2), tree_ball(2, 2)],
-                             lambda d: fin(d[0]) * fin(d[1]), T, j_tail=10)
+                             lambda d: fin(d[0]) * fin(d[1]), cutoff=12, j_tail=10)
     assert w.tail_bound <= 1e-10
     assert w.reproduction_error <= 1e-10
 
 
 def test_tree_witness_rejects_uncentered_symbol():
     sym = from_function(lambda d: 0.5 + 0.5 ** d, name="SHIFTED", real=True)
-    T = separable_multiradial_T([geometric(0.5)], cutoff=20)
     with pytest.raises(ValueError, match="split_radial"):
-        tree_product_witness([tree_ball(2, 2)], sym, T, j_tail=16)
+        tree_product_witness([tree_ball(2, 2)], sym, cutoff=20, j_tail=16)
 
 
 def test_tree_witness_refuses_fat_tail():
     sym = geometric(0.5)
-    T = separable_multiradial_T([sym], cutoff=40)
     with pytest.raises(TailBoundExceededError):
-        tree_product_witness([tree_ball(2, 3)], sym, T, j_tail=2)
+        tree_product_witness([tree_ball(2, 3)], sym, cutoff=40, j_tail=2)
+
+
+def reference_tree_cells(balls, phi_tilde, cutoff, j_tail):
+    """Cells, worst error and worst tail of the tree witness, with each cell's
+    value summed offset by offset over the entries of build_multiradial_T's
+    section that exist."""
+    N = len(balls)
+    T = build_multiradial_T(phi_tilde, N, cutoff)
+    index = {p: i for i, p in enumerate(T.points)}
+    Tnum = T.as_numeric()
+    horizon = j_tail + (64 if N <= 2 else 16)
+    grid, der = mlab._corner_table(
+        phi_tilde, tuple(2 * max(b.radius, cutoff) + 2 * horizon + 3 for b in balls))
+    per_axis = []
+    for ball in balls:
+        k0 = mlab._meet_tables(ball)
+        per_axis.append({(int(k0[x, y]), int(k0[y, x]))
+                         for x in range(k0.shape[0]) for y in range(k0.shape[0])})
+    cells = set()
+    for combo in itertools.product(*per_axis):
+        k0vec = tuple(c[0] for c in combo)
+        m0vec = tuple(c[1] for c in combo)
+        cells.add(min((k0vec, m0vec), (m0vec, k0vec)))
+    max_err = max_tail = 0.0
+    for k0vec, m0vec in cells:
+        value = 0.0
+        included = 0.0
+        for j in itertools.product(range(j_tail), repeat=N):
+            a = index.get(tuple(m + q for m, q in zip(m0vec, j)))
+            b = index.get(tuple(k + q for k, q in zip(k0vec, j)))
+            if a is not None and b is not None:
+                value += Tnum[a, b]
+                included += abs(Tnum[a, b])
+        s = tuple(k + m for k, m in zip(k0vec, m0vec))
+        box = np.abs(der[tuple(slice(s0, s0 + 2 * horizon, 2) for s0 in s)])
+        max_tail = max(max_tail, max(box.sum() - included, 0.0) + mlab._TAIL_PAD)
+        max_err = max(max_err, abs(value - grid[s]))
+    return len(cells), max_err, max_tail
+
+
+@pytest.mark.parametrize("balls, phi_tilde, cutoff, j_tail", [
+    ([tree_ball(2, 2)] * 2, lambda d: 0.5 ** d[0] * 0.3 ** d[1], 5, 7),
+    ([tree_ball(2, 1), tree_ball(2, 2), tree_ball(2, 1)], [geometric(0.4)] * 3, 4, 5),
+    ([tree_ball(2, 1)] * 3, [geometric(0.3), geometric(0.2), geometric(0.25)], 6, 4),
+], ids=["N2-callable", "N3-sequence-mixed-radii", "N3-sequence-j_tail-binds"])
+def test_tree_witness_cells_match_the_per_offset_sums(balls, phi_tilde, cutoff, j_tail):
+    # the cutoff is low and the tolerance loose so that both the cutoff and
+    # j_tail limits of the offset mask bind on many cells
+    w = tree_product_witness(balls, phi_tilde, cutoff, j_tail, tol=1.0)
+    cells, max_err, max_tail = reference_tree_cells(balls, phi_tilde, cutoff, j_tail)
+    assert w.detail["cells"] == cells
+    assert abs(w.reproduction_error - max_err) <= 1e-14
+    assert abs(w.tail_bound - max_tail) <= 1e-14
 
 
 def test_median_witness_product_complex():
