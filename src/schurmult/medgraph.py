@@ -730,14 +730,6 @@ def _interval_mask(dist: np.ndarray, x: int, y: int) -> np.ndarray:
     return dist[x] + dist[y] == dist[x, y]
 
 
-def _bipartition_or_raise(graph: FiniteGraph):
-    row = graph.distances[0]
-    for u, ns in enumerate(graph.neighbors):
-        for v in ns:
-            if (row[u] + row[v]) % 2 == 0:
-                raise NotMedianError("graph has an odd cycle, so it cannot be median")
-
-
 def _halfspaces(graph: FiniteGraph):
     """Hyperplanes as Djokovic cuts, with each vertex's side of each.
 
@@ -823,10 +815,39 @@ def _enumerate_cubes(graph: FiniteGraph, codes: np.ndarray, cap: int = 6):
     return tuple(sorted(cubes, key=lambda fs: tuple(sorted(fs))))
 
 
-# the majority-closure check visits every triple x <= y <= z while n^3 stays
-# at or below _EXHAUSTIVE_LIMIT, and otherwise _SAMPLES seeded random triples
-_EXHAUSTIVE_LIMIT = 2_000_000
-_SAMPLES = 100_000
+def _check_majority_closure(table: _CodeTable, sides: np.ndarray):
+    """Closure under majority, checked exactly: the codes must be every
+    solution of their two-hyperplane projections (Schaefer 1978).  These are
+    enumerated hyperplane by hyperplane, each free row split into both
+    literals with their closures; a closed system has no dead ends, so past
+    n rows each row is completed along one branch.  A solution c that is no
+    vertex code names a bad triple: on a minimal set Q where no vertex
+    agrees with c, three vertices agreeing with c on Q but one member have
+    majority c on Q."""
+    n, H = sides.shape
+    lit = np.hstack([~sides, sides]).astype(np.float32)   # literal h: side 0, H + h: side 1
+    imp = np.roll(lit.T @ lit == 0, H, axis=1)   # (l, m) is never seen: l => not m
+    for _ in range((2 * H).bit_length()):   # each squaring doubles the paths closed
+        imp = imp.astype(np.float32) @ imp.astype(np.float32) > 0
+    # every literal is some vertex's side, so none implies its own negation
+    rows = np.zeros((1, 2 * H), dtype=bool)
+    for h in range(H):
+        free = ~(rows[:, h] | rows[:, H + h])
+        lits = (h, H + h)[: 2 if len(rows) <= n else 1]
+        rows = np.vstack([rows[~free]] + [rows[free] | imp[l] for l in lits])
+    if len(rows) == n:
+        return
+    want = _keys(np.ascontiguousarray(np.packbits(rows[:, H:], axis=1, bitorder="little")))
+    pos = np.searchsorted(table.keys, want)
+    miss = sides != rows[np.flatnonzero(table.keys.take(pos, mode="clip") != want)[0], H:]
+    count = miss.sum(axis=1)
+    for h in range(H):
+        if not (count == miss[:, h]).any():   # no vertex agrees with c on Q minus h
+            count -= miss[:, h]
+            miss[:, h] = False
+    q = np.flatnonzero(miss.any(axis=0))[:3]
+    _majority(table, *((count == 1) & miss[:, q].T).argmax(axis=1))
+    raise NotMedianError("a code solves every two-hyperplane projection but is no vertex")
 
 
 def median_complex(graph: FiniteGraph, base_ray: Sequence[int], seed: int = 7) -> MedianComplex:
@@ -836,11 +857,10 @@ def median_complex(graph: FiniteGraph, base_ray: Sequence[int], seed: int = 7) -
     closed under coordinate-wise majority (Mulder 1980; Bandelt 1984).
     Hyperplanes are the Djokovic cuts of the edges, which must partition
     them, and each vertex's sides of them pack into its code.  On every pair,
-    d(x, y) must equal the number of hyperplanes separating x and y.  Then
-    the majority of every triple x <= y <= z must be a vertex when
-    n^3 <= _EXHAUSTIVE_LIMIT, and otherwise that of _SAMPLES seeded random
-    triples; a failure names the first bad triple in lexicographic or sample
-    order.  Cubes are read off the codes.
+    d(x, y) must equal the number of hyperplanes separating x and y, so the
+    graph is bipartite.  Then closure under majority is checked exactly on
+    the code table, and a failure names a triple without a median.  Cubes
+    are read off the codes.  `seed` is unused: nothing is sampled.
     """
     ray = tuple(int(v) for v in base_ray)
     if len(ray) < 2:
@@ -850,19 +870,10 @@ def median_complex(graph: FiniteGraph, base_ray: Sequence[int], seed: int = 7) -
         if dist[ray[i], ray[j]] != j - i:
             raise ValueError("base ray is not a geodesic")
 
-    _bipartition_or_raise(graph)
     edge_list, hyp_ids, sides = _halfspaces(graph)
     _check_isometry(dist, sides)
     table = _code_table(sides)
-    n = graph.size
-    if n**3 <= _EXHAUSTIVE_LIMIT:
-        # the majority is symmetric in (x, y, z), so x <= y <= z in
-        # lexicographic order meets the same first bad triple as all n^3
-        for x in range(n):
-            y, z = np.triu_indices(n - x)
-            _majority(table, x, y + x, z + x)
-    else:
-        _majority(table, *np.random.default_rng(seed).integers(0, n, size=(_SAMPLES, 3)).T)
+    _check_majority_closure(table, sides)
 
     cubes = _enumerate_cubes(graph, table.codes)
     if cubes:

@@ -197,12 +197,10 @@ def test_06_median_complex_combinatorics():
         n = cx.graph.size
         dim = cx.dimension
         if core <= 10:
-            triples = itertools.product(range(n), repeat=3)
+            triples = np.array(list(itertools.product(range(n), repeat=3)))
         else:
-            triples = (tuple(int(v) for v in rng.integers(0, n, size=3))
-                       for _ in range(100000))
-        for x, y, z in triples:
-            median(cx, x, y, z)   # raises unless the median is unique
+            triples = rng.integers(0, n, size=(100000, 3))
+        median(cx, *triples.T)   # raises unless every median is unique
 
         for x in range(core):
             for k in range(5):

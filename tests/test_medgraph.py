@@ -326,22 +326,24 @@ def reference_first_bad_triple(dist, triples):
     return None
 
 
-def check_triples(n, samples, seed, exhaustive):
-    """The triples the check visits: all n^3 in lexicographic order, or the samples."""
-    if exhaustive:
-        return itertools.product(range(n), repeat=3)
-    return np.random.default_rng(seed).integers(0, n, size=(samples, 3))
+def all_triples(n):
+    return itertools.product(range(n), repeat=3)
 
 
-def check_branch(monkeypatch, n, samples, exhaustive):
-    """Send median_complex's majority check down one branch."""
-    monkeypatch.setattr(medgraph, "_EXHAUSTIVE_LIMIT", n**3 if exhaustive else 0)
-    monkeypatch.setattr(medgraph, "_SAMPLES", samples)
+def named_triple(message):
+    """The vertices of a "triple (x,y,z) has no median" refusal."""
+    head, _, _ = message.partition(" has no median")
+    assert head.startswith("triple ("), message
+    return tuple(int(v) for v in head[len("triple ("):-1].split(","))
+
+
+def cycle(k):
+    return graph_from_edges([f"c{i}" for i in range(k)], [(i, (i + 1) % k) for i in range(k)])
 
 
 K23 = graph_from_edges(list("abcde"), [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-C6 = graph_from_edges([f"c{i}" for i in range(6)], [(i, (i + 1) % 6) for i in range(6)])
-C200 = graph_from_edges([f"c{i}" for i in range(200)], [(i, (i + 1) % 200) for i in range(200)])
+C6 = cycle(6)
+C200 = cycle(200)
 
 
 @pytest.mark.parametrize("graph, seed, exhaustive", [
@@ -352,33 +354,83 @@ C200 = graph_from_edges([f"c{i}" for i in range(200)], [(i, (i + 1) % 200) for i
     pytest.param(C6, 3, True, id="C6-exhaustive"),
     pytest.param(C200, 7, True, id="C200-exhaustive"),
 ])
-def test_batched_median_check_names_the_first_bad_triple(monkeypatch, graph, seed, exhaustive):
+def test_batched_median_check_names_the_first_bad_triple(graph, seed, exhaustive):
     # every graph here has a triple without a median.  Even cycles are partial
-    # cubes, so they pass the hyperplane and isometry stages and the majority
-    # check names the first bad triple; the Djokovic cuts of K2,3 overlap, so
-    # the hyperplane stage refuses it before either branch of the majority check
-    n = graph.size
-    bad = reference_first_bad_triple(graph.distances, check_triples(n, 1000, seed, exhaustive))
-    assert bad is not None
-    check_branch(monkeypatch, n, 1000, exhaustive)
-    with pytest.raises(NotMedianError) as exc:
-        median_complex(graph, (0, graph.neighbors[0][0]), seed=seed)
+    # cubes, so they pass the hyperplane and isometry stages and the exact
+    # closure check refuses them, naming a triple that the interval scan
+    # confirms has no median (not the first in any order); the Djokovic cuts
+    # of K2,3 overlap, so the hyperplane stage refuses it first.  Nothing is
+    # sampled: the seed leaves the refusal as it is
+    if exhaustive:
+        assert reference_first_bad_triple(graph.distances, all_triples(graph.size)) is not None
+    messages = set()
+    for s in (seed, seed + 1):
+        with pytest.raises(NotMedianError) as exc:
+            median_complex(graph, (0, graph.neighbors[0][0]), seed=s)
+        messages.add(str(exc.value))
+    (message,) = messages
     if graph is K23:
-        assert "meets another hyperplane" in str(exc.value)
+        assert "meets another hyperplane" in message
     else:
-        assert str(exc.value).startswith("triple (%d,%d,%d) has no median" % bad)
+        bad = named_triple(message)
+        assert reference_first_bad_triple(graph.distances, [bad]) == bad
 
 
-def test_batched_median_check_passes_median_graphs(monkeypatch):
+def test_batched_median_check_passes_median_graphs():
     g, ray = attach_ray(product_graph([tree_ball(2, 2).graph] * 2), 0, 6)
-    assert reference_first_bad_triple(g.distances, check_triples(g.size, 3000, 5, False)) is None
-    check_branch(monkeypatch, g.size, 3000, False)
+    triples = np.random.default_rng(5).integers(0, g.size, size=(3000, 3))
+    assert reference_first_bad_triple(g.distances, triples) is None
     assert median_complex(g, ray, seed=5).dimension == 2
-    # the exhaustive branch, which visits x <= y <= z only, on a small product
     g, ray = attach_ray(product_graph([tree_ball(2, 1).graph, path_graph(3)]), 0, 3)
-    assert reference_first_bad_triple(g.distances, check_triples(g.size, 0, 0, True)) is None
-    check_branch(monkeypatch, g.size, 0, True)
+    assert reference_first_bad_triple(g.distances, all_triples(g.size)) is None
     assert median_complex(g, ray).dimension == 2
+
+
+CUBE = product_graph([path_graph(2, p) for p in "abc"])
+SMALL_PARTIAL_CUBES = {
+    "C4": cycle(4), "C6": C6, "C8": cycle(8), "C10": cycle(10), "Q3": CUBE,
+    "Q3 minus a vertex": graph_from_edges(CUBE.labels[1:],
+                                          [(u - 1, v - 1) for u, v in CUBE.edges() if u and v]),
+    "C6xP2": product_graph([cycle(6), path_graph(2)]),
+    "C6xT3(1)": product_graph([cycle(6), tree_ball(2, 1).graph]),
+    "grid 3x4": product_graph([path_graph(3), path_graph(4, "q")]),
+    "C4xC4": product_graph([cycle(4), cycle(4)]),
+    "T3(2)xP3": product_graph([tree_ball(2, 2).graph, path_graph(3)]),
+}
+
+
+@pytest.mark.parametrize("with_ray", [False, True], ids=["bare", "ray"])
+@pytest.mark.parametrize("name", list(SMALL_PARTIAL_CUBES))
+def test_exact_closure_check_agrees_with_the_interval_scan(name, with_ray):
+    g = SMALL_PARTIAL_CUBES[name]
+    ray = (0, g.neighbors[0][0])
+    if with_ray:
+        g, ray = attach_ray(g, 0, 3)
+    bad = reference_first_bad_triple(g.distances, all_triples(g.size))
+    if bad is None:
+        median_complex(g, ray)
+        return
+    with pytest.raises(NotMedianError) as exc:
+        median_complex(g, ray)
+    named = named_triple(str(exc.value))
+    assert reference_first_bad_triple(g.distances, [named]) == named
+
+
+def test_exact_closure_check_refuses_a_partial_cube_the_samples_passed():
+    # T3(3)^2 with a ray, and a 6-cycle hung off vertex 5 by one edge: a
+    # partial cube of 524 vertices whose triples without a median all take
+    # two or three cycle vertices, so a sample of 100,000 random triples can
+    # miss them all (at seeds 1 and 10 it does)
+    g, ray = attach_ray(product_graph([tree_ball(2, 3).graph] * 2), 0, 34)
+    n = g.size
+    edges = list(g.edges()) + [(5, n)] + [(n + i, n + (i + 1) % 6) for i in range(6)]
+    g = graph_from_edges(g.labels + tuple(f"h{i}" for i in range(6)), edges)
+    assert g.size == 524
+    for seed in (1, 10):
+        with pytest.raises(NotMedianError) as exc:
+            median_complex(g, ray, seed=seed)
+        bad = named_triple(str(exc.value))
+        assert reference_first_bad_triple(g.distances, [bad]) == bad
 
 
 def test_median_examples():
@@ -491,16 +543,14 @@ def test_cube_counts_are_the_product_formula(factors, total):
     assert len(hyperplanes(cx)) == sum(e) + len(ray) - 1
 
 
-def test_hyperplane_stage_rejects_what_the_sampled_median_check_passes(monkeypatch):
+def test_hyperplane_stage_rejects_what_the_sampled_median_check_passes():
     # K2,3 with a ray attached still has triples without a median, but its
-    # Djokovic cuts overlap, and the hyperplane stage runs before either
-    # branch of the majority check
+    # Djokovic cuts overlap, and the hyperplane stage runs before the
+    # majority-closure check
     g, ray = attach_ray(K23, 0, 4)
-    assert reference_first_bad_triple(g.distances, check_triples(g.size, 0, 0, True)) is not None
-    for exhaustive in (False, True):
-        check_branch(monkeypatch, g.size, 1, exhaustive)
-        with pytest.raises(NotMedianError, match="meets another hyperplane"):
-            median_complex(g, ray, seed=0)
+    assert reference_first_bad_triple(g.distances, all_triples(g.size)) is not None
+    with pytest.raises(NotMedianError, match="meets another hyperplane"):
+        median_complex(g, ray, seed=0)
     # with a hyperplane left out, some distance is no longer a crossing count
     g, ray = attach_ray(product_graph([path_graph(3), path_graph(3, "q")]), 0, 2)
     _, _, sides = medgraph._halfspaces(g)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from schurmult.errors import (
 )
 from schurmult.hankel import build_multiradial_T, radial_lift
 from schurmult.medgraph import (
+    MizutaVectors,
     attach_ray,
     graph_from_edges,
     median_complex,
@@ -469,6 +471,40 @@ def test_median_witness_finite_symbol_zero_tail():
     w = median_witness(cx, fin, K=14)
     assert w.tail_bound == 0.0
     assert w.reproduction_error <= 1e-10
+
+
+@pytest.mark.parametrize("side", ["p", "q"])
+def test_median_witness_budget_refusal_names_the_failing_side(monkeypatch, side):
+    monkeypatch.setattr(mlab, "polytope_budget", lambda dimension: 0)
+    if side == "q":
+        # zero columns of Bt make every p-norm 0, so only the q side fails
+        real = mlab.polar_factor
+        monkeypatch.setattr(mlab, "polar_factor", lambda H: (real(H)[0], 0 * real(H)[1]))
+    cx = glued(tree_ball(2, 2).graph, length=28)
+    with pytest.raises(StructureViolationError,
+                       match=rf"vertex \d+: {side}-norm \S+ above budget 0$"):
+        median_witness(cx, geometric(0.5), K=14)
+
+
+def test_median_witness_checks_the_vector_identity_on_every_pair(monkeypatch):
+    cx = glued(product_graph([tree_ball(2, 2).graph] * 2))
+    w = median_witness(cx, geometric(0.5), K=12)
+    assert w.detail["checked_pairs"] == w.detail["core"] ** 2 == 100 ** 2
+    real = mlab.mizuta_vectors
+
+    def one_polytope_dropped(cx, x, k):
+        vec = real(cx, x, k)
+        if (x, k) != (5, 2):
+            return vec
+        gone = max(vec.unsigned)
+        keep = {g: c for g, c in vec.alternating.items() if g != gone}
+        return MizutaVectors(x, k, {g: 1 for g in keep}, keep)
+
+    monkeypatch.setattr(mlab, "mizuta_vectors", one_polytope_dropped)
+    with pytest.raises(StructureViolationError, match="vector pairing") as exc:
+        median_witness(cx, geometric(0.5), K=12)
+    pair = re.match(r"pair \((\d+),(\d+)\)", str(exc.value)).groups()
+    assert "5" in pair
 
 
 def test_median_witness_guards():
