@@ -115,6 +115,10 @@ def parse_graph(expr: str):
 # manifests
 
 
+# what a parameter's conversion or a symbol's constructor raises for a bad value
+_REFUSED = (TypeError, ValueError, AttributeError, OverflowError)
+
+
 @dataclass(frozen=True)
 class ExperimentManifest:
     """One operation, one parameter grid, shared truncation settings.  Rows
@@ -143,8 +147,13 @@ class ExperimentManifest:
                                      f"{name!r}; it takes {sorted(table)}")
                 try:
                     table[name][0](value)
-                except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+                except _REFUSED as exc:
                     raise ValueError(f"grid row {i}: bad {name!r}: {exc}") from exc
+            if "symbol" in row:   # constructor arguments are checked here, not at run time
+                try:
+                    symbol_constructor(row["symbol"])(*row.get("params", ()))
+                except _REFUSED as exc:
+                    raise ValueError(f"grid row {i}: bad 'params': {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -706,6 +706,7 @@ class MedianComplex:
     `hyperplane_ids[k]` is the hyperplane class of `edge_list[k]`; `cubes`
     holds the vertex sets of all cubes of dimension >= 2; `codes` holds each
     vertex's sides of the hyperplanes, from which every median is read.
+    `_cache` holds only the polytope table, built on first use.
     """
 
     graph: FiniteGraph
@@ -724,10 +725,6 @@ class MedianComplex:
     def usable_radius(self) -> int:
         # base rays must be twice as long as the range they serve
         return (len(self.base_ray) - 1) // 2
-
-
-def _interval_mask(dist: np.ndarray, x: int, y: int) -> np.ndarray:
-    return dist[x] + dist[y] == dist[x, y]
 
 
 def _halfspaces(graph: FiniteGraph):
@@ -942,93 +939,102 @@ def stable_median_table(cx: MedianComplex, vertices: Optional[Sequence[int]] = N
     return table
 
 
-def ray_set(cx: MedianComplex, x: int, k: int) -> FrozenSet[int]:
-    """Vertices at distance k from x on geodesics that merge into the base ray."""
-    if k < 0:
+def _ray_masks(cx: MedianComplex, xs, ks) -> np.ndarray:
+    """Ray sets of every x in `xs` at every k in `ks` as a boolean (x, k,
+    vertex) mask: the vertices at distance k from x in the interval to the
+    far end of the base ray.  Each must be the same one ray step earlier and
+    hold at most the simplex count; raises for the first failing (x, k) in
+    x-major order."""
+    xs, ks = np.asarray(xs, dtype=np.intp), np.asarray(ks, dtype=np.intp)
+    if (ks < 0).any():
         raise ValueError("k must be >= 0")
-    if k > cx.usable_radius:
-        raise RayTooShortError(f"k={k} exceeds usable radius {cx.usable_radius}")
-    key = ("ray", x, k)
-    cached = cx._cache.get(key)
-    if cached is not None:
-        return cached
+    if (ks > cx.usable_radius).any():
+        raise RayTooShortError(f"k={ks.max()} exceeds usable radius {cx.usable_radius}")
     dist = cx.graph.distances
     z1, z2 = cx.base_ray[-1], cx.base_ray[-2]
-    if dist[x, z1] != dist[x, z2] + 1:
-        raise RayTooShortError(f"base ray has not escaped vertex {x}")
-    at_k = dist[x] == k
-    s1 = frozenset(np.flatnonzero(at_k & _interval_mask(dist, x, z1)).tolist())
-    s2 = frozenset(np.flatnonzero(at_k & _interval_mask(dist, x, z2)).tolist())
-    if s1 != s2:
-        raise RayTooShortError(f"ray set ({x},{k}) not stabilized at the ray end")
-    cap = binomial(cx.dimension - 1 + k, cx.dimension - 1)
-    if len(s1) > cap:
+    d = dist[xs]
+    at_k = d[:, None, :] == ks[:, None]
+    masks = at_k & (d + dist[z1] == d[:, z1, None])[:, None]
+    moved = (masks != (at_k & (d + dist[z2] == d[:, z2, None])[:, None])).any(axis=2)
+    count = masks.sum(axis=2)
+    cap = np.array([binomial(cx.dimension - 1 + k, cx.dimension - 1) for k in ks.tolist()])
+    stuck = d[:, z1] != d[:, z2] + 1
+    bad = np.argwhere(stuck[:, None] | moved | (count > cap))
+    if bad.size:
+        i, j = bad[0]
+        x, k = int(xs[i]), int(ks[j])
+        if stuck[i]:
+            raise RayTooShortError(f"base ray has not escaped vertex {x}")
+        if moved[i, j]:
+            raise RayTooShortError(f"ray set ({x},{k}) not stabilized at the ray end")
         raise StructureViolationError(
-            f"|ray set({x},{k})| = {len(s1)} exceeds the simplex count {cap}"
+            f"|ray set({x},{k})| = {count[i, j]} exceeds the simplex count {cap[j]}"
         )
-    cx._cache[key] = s1
-    return s1
+    return masks
 
 
-# -- polytope universe ------------------------------------------------------
+def ray_set(cx: MedianComplex, x: int, k: int) -> FrozenSet[int]:
+    """Vertices at distance k from x on geodesics that merge into the base ray."""
+    return frozenset(np.flatnonzero(_ray_masks(cx, [x], [k])[0, 0]).tolist())
+
+
+# -- polytopes --------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """A distance slice of a cube: level, vertex set, and one witness corner."""
+    """A distance slice of a cube: its level and vertex set."""
 
     level: int
     vertices: FrozenSet[int]
-    cube: Optional[FrozenSet[int]]
-    corner: int
-    offset: int
 
 
-def _poly_universe(cx: MedianComplex):
-    """All slices of all cubes, deduplicated by (level, vertex set)."""
-    cached = cx._cache.get("universe")
+def _polytope_table(cx: MedianComplex):
+    """Every polytope as a row of its members padded with -1, and its level;
+    row indices are the global polytope ids.  The vertices are the level-0
+    polytopes; the slices at distance 0 < j <= l from a corner of an
+    (l+1)-cube are the level-l ones.  Rows are deduplicated and sorted by
+    (level, members), so the vertices keep their indices as ids."""
+    cached = cx._cache.get("polytopes")
     if cached is not None:
         return cached
-    dist = cx.graph.distances
-    sets = []
-    meta = []
-    index: Dict[Tuple[int, FrozenSet[int]], int] = {}
-    touch: Dict[int, list] = {}
-    for fs in cx.cubes:
-        level = len(fs).bit_length() - 2  # slice of an (l+1)-cube has level l
-        members = sorted(fs)
-        for w in members:
-            for j in range(1, level + 1):
-                pset = frozenset(v for v in members if dist[w, v] == j)
-                key = (level, pset)
-                if key in index:
-                    continue
-                index[key] = len(sets)
-                sets.append(pset)
-                meta.append((level, fs, w, j))
-                for v in pset:
-                    touch.setdefault(v, []).append(index[key])
-    cached = (sets, meta, touch)
-    cx._cache["universe"] = cached
-    return cached
+    parts = [(0, np.arange(cx.graph.size)[:, None])]   # (level, member rows)
+    for dim in sorted({len(fs).bit_length() - 1 for fs in cx.cubes}):
+        members = np.array([sorted(fs) for fs in cx.cubes if len(fs) == 2**dim], dtype=np.intp)
+        gap = cx.graph.distances[members[:, :, None], members[:, None, :]]   # (cube, corner, member)
+        spread = np.broadcast_to(members[:, None, :], gap.shape)
+        parts += [(dim - 1, spread[gap == j].reshape(-1, math.comb(dim, j))) for j in range(1, dim)]
+    width = max(m.shape[1] for _, m in parts)
+    rows = np.unique(np.vstack([np.pad(m, ((0, 0), (1, width - m.shape[1])), constant_values=(lv, -1))
+                                for lv, m in parts]), axis=0)
+    cx._cache["polytopes"] = (rows[:, 1:], rows[:, 0])
+    return cx._cache["polytopes"]
 
 
-def _polytopes_within(cx: MedianComplex, members: FrozenSet[int]):
-    """Global ids of every polytope contained in a vertex set.
-
-    Vertices double as their own level-0 polytopes with ids below n; higher
-    levels are offset by n.
-    """
-    n = cx.graph.size
-    ids = [(v, 0) for v in sorted(members)]
-    sets, meta, touch = _poly_universe(cx)
-    cand = set()
-    for v in members:
-        cand.update(touch.get(v, ()))
-    for p in sorted(cand):
-        if sets[p] <= members:
-            ids.append((n + p, meta[p][0]))
-    return ids
+def _polytopes_in(cx: MedianComplex, xs, ks, what: str = "vector weight"):
+    """Which polytopes lie in the ray sets of `xs` at `ks`, as a boolean
+    (x, k, polytope) table, with each polytope's level.  A polytope lies in a
+    ray set when all its members do.  Raises like `_ray_masks`, then for the
+    first (x, k) holding more polytopes than the cap, named by `what`."""
+    masks = _ray_masks(cx, xs, ks)
+    table, level = _polytope_table(cx)
+    sets = masks.reshape(-1, cx.graph.size)
+    # row v: is v in each ray set; the pads (-1) read the last row, all True
+    rows = np.vstack([sets.T, np.ones(len(sets), dtype=bool)])
+    inside = np.empty((len(table), len(sets)), dtype=bool)
+    step = max(1, _BLOCK_BYTES // max(1, table.shape[1] * len(sets)))
+    for lo in range(0, len(table), step):
+        inside[lo : lo + step] = rows[table[lo : lo + step]].all(axis=1)
+    inside = inside.T.reshape(masks.shape[:2] + (len(table),))
+    count = inside.sum(axis=2)
+    N = cx.dimension
+    caps = [polytope_budget(N) * binomial(N - 1 + int(k), N - 1) for k in ks]
+    # a count never passes the number of polytopes, so the huge caps clip there
+    over = np.argwhere(count > np.array([min(c, len(table)) for c in caps], dtype=np.int64))
+    if over.size:
+        i, j = over[0]
+        raise StructureViolationError(f"{what} {count[i, j]} exceeds bound {caps[j]}")
+    return inside, level
 
 
 @dataclass(frozen=True, eq=False)
@@ -1052,32 +1058,25 @@ def polytope_budget(dimension: int) -> int:
 
 
 def polytopes(cx: MedianComplex, x: int, k: int) -> PolytopeReport:
-    members = ray_set(cx, x, k)
-    n = cx.graph.size
-    sets, meta, _ = _poly_universe(cx)
-    polys = []
-    for gid, level in _polytopes_within(cx, members):
-        if gid < n:
-            polys.append(Polytope(0, frozenset([gid]), None, gid, 0))
-        else:
-            lvl, fs, w, j = meta[gid - n]
-            polys.append(Polytope(lvl, sets[gid - n], fs, w, j))
-
-    cap = polytope_budget(cx.dimension) * binomial(cx.dimension - 1 + k, cx.dimension - 1)
-    if len(polys) > cap:
-        raise StructureViolationError(f"polytope count {len(polys)} exceeds bound {cap}")
+    inside, level = _polytopes_in(cx, [x], [k], "polytope count")
+    table, _ = _polytope_table(cx)
+    ids = np.flatnonzero(inside[0, 0])
+    polys = tuple(Polytope(int(level[p]), frozenset(table[p][table[p] >= 0].tolist()))
+                  for p in ids.tolist())
+    members = ids[ids < cx.graph.size].tolist()   # the vertices are the ray set
 
     predecessors: Dict[Tuple[int, int], FrozenSet[int]] = {}
-    for i in range(min(cx.dimension - 1, k) + 1):
-        sources = ray_set(cx, x, k - i)
+    for i in range(min(cx.dimension - 1, k) + 1 if members else 0):
+        sources = np.flatnonzero(_ray_masks(cx, [x], [k - i])[0, 0])
+        reach = _ray_masks(cx, sources, [i])[:, 0]
         for y in members:
-            back = frozenset(w for w in sources if y in ray_set(cx, w, i))
+            back = frozenset(sources[reach[:, y]].tolist())
             if len(back) > cx.dimension**i:
                 raise StructureViolationError(
                     f"chain set ({y},{i}) has {len(back)} > {cx.dimension ** i} members"
                 )
             predecessors[(y, i)] = back
-    return PolytopeReport(x, k, tuple(polys), predecessors)
+    return PolytopeReport(x, k, polys, predecessors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1099,20 +1098,10 @@ class MizutaVectors:
 
 
 def mizuta_vectors(cx: MedianComplex, x: int, k: int) -> MizutaVectors:
-    key = ("mz", x, k)
-    cached = cx._cache.get(key)
-    if cached is not None:
-        return cached
-    members = ray_set(cx, x, k)
-    ids = _polytopes_within(cx, members)
-    cap = polytope_budget(cx.dimension) * binomial(cx.dimension - 1 + k, cx.dimension - 1)
-    if len(ids) > cap:
-        raise StructureViolationError(f"vector weight {len(ids)} exceeds bound {cap}")
-    unsigned = {gid: 1 for gid, _ in ids}
-    alternating = {gid: (-1) ** level for gid, level in ids}
-    out = MizutaVectors(x, k, unsigned, alternating)
-    cx._cache[key] = out
-    return out
+    inside, level = _polytopes_in(cx, [x], [k])
+    ids = np.flatnonzero(inside[0, 0]).tolist()
+    return MizutaVectors(x, k, dict.fromkeys(ids, 1),
+                         {p: (-1) ** int(level[p]) for p in ids})
 
 
 def pairing(a: Dict[int, int], b: Dict[int, int]) -> int:

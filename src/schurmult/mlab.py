@@ -41,7 +41,7 @@ from .medgraph import (
     FiniteGraph,
     MedianComplex,
     TreeBall,
-    mizuta_vectors,
+    _polytopes_in,
     parity_witness,
     polytope_budget,
     product_graph,
@@ -828,7 +828,7 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
     dist = cx.graph.distances
     mt = stable_median_table(cx, core)
     l1 = dist[core[:, None], mt]
-    l2 = dist[core[None, :].repeat(len(core), axis=0), mt]
+    l2 = l1.T   # the stable-median table is symmetric
 
     hv = np.asarray(
         [discrete_derivative(symbol, _STEP2, t)
@@ -842,8 +842,8 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
     anorm2 = (np.abs(At) ** 2).sum(axis=0)
     bnorm2 = (np.abs(Bt) ** 2).sum(axis=0)
 
-    cells = sorted({(int(a + b), int(max(a, b)))
-                    for a, b in zip(l1.ravel(), l2.ravel())})
+    width = int(l1.max()) + 1
+    cells = [divmod(int(c), width) for c in np.unique((l1 + l2) * width + np.maximum(l1, l2))]
     tail_cache: dict = {}
     max_err = 0.0
     max_tail = 0.0
@@ -866,12 +866,11 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
             f"tail bound {max_tail:g} exceeds the requested tolerance {tol:g}"
         )
 
-    # the alternating vectors as one int8 table A[i, k, g]; |A| holds the unsigned
-    vecs = [mizuta_vectors(cx, int(x), k).alternating for x in core for k in range(K)]
-    row, gid, sign = np.array([(r, g, c) for r, v in enumerate(vecs) for g, c in v.items()]).T
-    gids, col = np.unique(gid, return_inverse=True)
-    A = np.zeros((len(core), K, len(gids)), dtype=np.int8)
-    A.reshape(len(vecs), -1)[row, col] = sign   # a view: rows are (i, k) pairs
+    # the alternating vectors as one int8 table A[i, k, g] over the polytopes
+    # some vector holds; |A| holds the unsigned
+    inside, level = _polytopes_in(cx, core, range(K))
+    used = inside.any(axis=(0, 1))
+    A = inside[:, :, used] * np.where(level[used] % 2, -1, 1).astype(np.int8)
 
     # on every pair, the diagonal sum must be sum_k1,k2 H[k2, k1] <|A[x, k1]|, A[y, k2]>
     direct = sum(np.abs(A[:, k1]) @ sum(H[j, k1] * A[:, j] for j in range(K)).T
@@ -899,7 +898,7 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
         )
     sup_p, sup_q = map(float, np.sqrt(lhs.max(axis=0)))
     return FactorizationWitness(
-        dimension=K * len(gids),
+        dimension=K * int(used.sum()),
         sup_p=sup_p,
         sup_q=sup_q,
         certified=sup_p * sup_q,

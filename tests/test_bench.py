@@ -271,14 +271,23 @@ def test_complex_product_witness_row_stays_complex():
 def test_unexpected_exceptions_become_error_rows():
     grid = ({"symbol": "GEOM", "params": [0.5], "level": 1, "tag": "B"},
             {"symbol": "GEOM", "params": [0.5], "tag": "B"},
-            {"symbol": "I_POWER", "params": [], "level": 1, "tag": "B"},
             {"symbol": "POWER", "params": [1.5], "level": 1, "tag": "B"})
     result = run_manifest(small_manifest("hankel.s1_estimate", grid,
                                          sizes=(16, 32)))
-    assert [r.status for r in result.rows] == ["ok", "error", "error", "ok"]
+    assert [r.status for r in result.rows] == ["ok", "error", "ok"]
     assert result.rows[1].message == "KeyError: 'level'"
-    assert result.rows[2].message.startswith("TypeError: ")
     assert result.exit_code == 0
+
+
+def test_symbol_arguments_are_refused_on_load():
+    grid = ({"symbol": "GEOM", "params": [0.5], "level": 1, "tag": "B"},
+            {"symbol": "I_POWER", "params": [], "level": 1, "tag": "B"})
+    with pytest.raises(ValueError, match=r"^grid row 1: bad 'params': .*alpha"):
+        small_manifest("hankel.s1_estimate", grid)
+    res = CliRunner().invoke(main, ["classes", "--symbol", "GEOM", "--params", "r=abc",
+                                    "--n", "1", "--class", "A"])
+    assert res.exit_code == 2
+    assert "grid row 0: bad 'params': bad operand type for abs(): 'str'" in res.output
 
 
 def test_broken_tail_row_is_assertion_fail():

@@ -613,6 +613,38 @@ def test_ray_set():
         ray_set(short, b.base_ray[-2], 1)
 
 
+def test_ray_set_refusals_name_the_first_failing_pair(monkeypatch):
+    # a 5 x 3 grid with its bottom row as the base ray: from the middle of the
+    # top row, two steps reach the far corner, inside the interval to the
+    # ray's end but not to the vertex before it
+    grid = product_graph([path_graph(5), path_graph(3, "q")])
+    ray = [grid.index(f"p{i}|q0") for i in range(5)]
+    cx = median_complex(grid, ray)
+    x, end = grid.index("p2|q2"), ray[-1]
+    assert ray_set(cx, x, 1) == {grid.index("p2|q1"), grid.index("p3|q2")}
+    moved = rf"ray set \({x},2\) not stabilized at the ray end"
+    for view in (ray_set, polytopes, mizuta_vectors):
+        with pytest.raises(RayTooShortError, match=moved):
+            view(cx, x, 2)
+    with pytest.raises(RayTooShortError, match=rf"base ray has not escaped vertex {end}$"):
+        ray_set(cx, end, 0)
+    # x-major: all of x's levels come before the next vertex
+    with pytest.raises(RayTooShortError, match=moved):
+        medgraph._ray_masks(cx, [x, end], [0, 1, 2])
+    with pytest.raises(RayTooShortError, match="not escaped"):
+        medgraph._ray_masks(cx, [end, x], [0, 1, 2])
+
+    monkeypatch.setattr(medgraph, "polytope_budget", lambda dimension: 0)
+    with pytest.raises(StructureViolationError, match=r"^polytope count 3 exceeds bound 0$"):
+        polytopes(cx, x, 1)
+    with pytest.raises(StructureViolationError, match=r"^vector weight 3 exceeds bound 0$"):
+        mizuta_vectors(cx, x, 1)
+    monkeypatch.setattr(medgraph, "binomial", lambda n, k: 1)
+    with pytest.raises(StructureViolationError,
+                       match=rf"^\|ray set\({x},1\)\| = 2 exceeds the simplex count 1$"):
+        ray_set(cx, x, 1)
+
+
 def test_polytopes_tree_and_chains():
     cx = glued(tree_ball(2, 2).graph)
     rep = polytopes(cx, 5, 3)
@@ -660,6 +692,55 @@ def test_polytopes_three_factor_levels():
     assert counts == {0: 3, 1: 3, 2: 1}
 
 
+def reference_ray_set(dist, ray_end, x, k):
+    """Brute force: the vertices at distance k from x in the interval from x
+    to the ray end."""
+    return frozenset(v for v in range(len(dist))
+                     if dist[x, v] == k and dist[x, v] + dist[v, ray_end] == dist[x, ray_end])
+
+
+def reference_slices(cx):
+    """Brute force: every (level, vertex set) slice of every cube by distance
+    from each of its corners."""
+    dist = cx.graph.distances
+    out = set()
+    for fs in cx.cubes:
+        level = len(fs).bit_length() - 2
+        for w in fs:
+            for j in range(1, level + 1):
+                out.add((level, frozenset(v for v in fs if dist[w, v] == j)))
+    return out
+
+
+@pytest.mark.parametrize("graph, core", [
+    (tree_ball(2, 2).graph, 10),
+    (product_graph([tree_ball(2, 2).graph] * 2), 100),
+    (product_graph([tree_ball(2, 1).graph] * 3), 64),
+    (lshape_graph(), 8),
+], ids=["T3(2)", "T3(2)^2", "T3(1)^3", "L-shape"])
+def test_ray_sets_and_polytopes_match_brute_force_scans(graph, core):
+    cx = glued(graph)
+    dist, end = cx.graph.distances, cx.base_ray[-1]
+    slices = reference_slices(cx)
+    for x in range(core):
+        for k in range(4):
+            members = reference_ray_set(dist, end, x, k)
+            assert ray_set(cx, x, k) == members
+            rep = polytopes(cx, x, k)
+            want = {(0, frozenset([v])) for v in members}
+            want |= {(level, fs) for level, fs in slices if fs <= members}
+            got = [(p.level, p.vertices) for p in rep.polys]
+            assert len(got) == len(set(got)) and set(got) == want
+            chains = {}
+            for i in range(min(cx.dimension - 1, k) + 1):
+                sources = reference_ray_set(dist, end, x, k - i)
+                for y in members:
+                    chains[(y, i)] = frozenset(
+                        w for w in sources if y in reference_ray_set(dist, end, w, i))
+            assert rep.predecessors == chains
+    assert list(cx._cache) == ["polytopes"]   # the one table, built once
+
+
 def test_mizuta_vectors_tree_degeneration():
     b = tree_ball(2, 2)
     cx = glued(b.graph)
@@ -698,29 +779,27 @@ def test_mizuta_indicator_identity_small():
 
 
 def test_mizuta_indicator_identity_radius_three():
-    # all pairs in the product of two radius-3 balls, k up to 3
+    # all pairs in the product of two radius-3 balls, k up to 3, as one exact
+    # product of the polytope tables: every entry is a small integer sum
     b = tree_ball(2, 3)
     p2 = product_graph([b.graph] * 2)
     core = p2.size
     g, ray = attach_ray(p2, 0, 10)
     cx = median_complex(g, ray)
+    inside, level = medgraph._polytopes_in(cx, range(core), range(4))
+    alternating = np.where(level % 2, -1, 1) * inside
+    for x, k in [(0, 0), (5, 1), (200, 2), (core - 1, 3)]:
+        vec = mizuta_vectors(cx, x, k)
+        assert vec.alternating == {p: alternating[x, k, p] for p in np.flatnonzero(inside[x, k])}
+    got = (inside.reshape(4 * core, -1).astype(float)
+           @ alternating.reshape(4 * core, -1).T.astype(float)).reshape(core, 4, core, 4)
+
     table = stable_median_table(cx, range(core))
     dist = cx.graph.distances
-    vecs = {(x, k): mizuta_vectors(cx, x, k) for x in range(core) for k in range(4)}
-    norms = {}
-    for x in range(core):
-        for k in range(4):
-            norms[(x, k)] = vecs[(x, k)].norm_sq
-            assert norms[(x, k)] == len(vecs[(x, k)].unsigned)
-    for x1 in range(core):
-        row = table[x1]
-        dx1 = dist[x1]
-        for x2 in range(core):
-            m = row[x2]
-            l1, l2 = dx1[m], dist[x2, m]
-            for k1 in range(4):
-                a = vecs[(x1, k1)].unsigned
-                for k2 in range(4):
-                    got = pairing(a, vecs[(x2, k2)].alternating)
-                    want = 1 if (k1 - l1 == k2 - l2 and k1 >= l1) else 0
-                    assert got == want
+    l1 = dist[np.arange(core)[:, None], table]   # (x1, x2)
+    l2 = l1.T
+    k = np.arange(4)
+    k1, k2 = k[None, :, None, None], k[None, None, None, :]
+    l1, l2 = l1[:, None, :, None], l2[:, None, :, None]
+    want = (k1 - l1 == k2 - l2) & (k1 >= l1)
+    assert np.array_equal(got, want)

@@ -22,7 +22,6 @@ from schurmult.errors import (
 )
 from schurmult.hankel import build_multiradial_T, radial_lift
 from schurmult.medgraph import (
-    MizutaVectors,
     attach_ray,
     graph_from_edges,
     median_complex,
@@ -490,17 +489,15 @@ def test_median_witness_checks_the_vector_identity_on_every_pair(monkeypatch):
     cx = glued(product_graph([tree_ball(2, 2).graph] * 2))
     w = median_witness(cx, geometric(0.5), K=12)
     assert w.detail["checked_pairs"] == w.detail["core"] ** 2 == 100 ** 2
-    real = mlab.mizuta_vectors
+    real = mlab._polytopes_in
 
-    def one_polytope_dropped(cx, x, k):
-        vec = real(cx, x, k)
-        if (x, k) != (5, 2):
-            return vec
-        gone = max(vec.unsigned)
-        keep = {g: c for g, c in vec.alternating.items() if g != gone}
-        return MizutaVectors(x, k, {g: 1 for g in keep}, keep)
+    def one_polytope_dropped(cx, xs, ks, *args):
+        inside, level = real(cx, xs, ks, *args)
+        i = int(np.flatnonzero(np.asarray(xs) == 5)[0])
+        inside[i, 2, np.flatnonzero(inside[i, 2]).max()] = False
+        return inside, level
 
-    monkeypatch.setattr(mlab, "mizuta_vectors", one_polytope_dropped)
+    monkeypatch.setattr(mlab, "_polytopes_in", one_polytope_dropped)
     with pytest.raises(StructureViolationError, match="vector pairing") as exc:
         median_witness(cx, geometric(0.5), K=12)
     pair = re.match(r"pair \((\d+),(\d+)\)", str(exc.value)).groups()
