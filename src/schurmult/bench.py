@@ -12,6 +12,7 @@ JSON twin.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
 import time
@@ -28,7 +29,7 @@ from .errors import (
     StructureViolationError,
     TailBoundExceededError,
 )
-from .hankel import class_spec, rank_one_geom, s1_estimate
+from .hankel import class_spec, rank_one_geom, s1_estimate, trace_norm_memo
 from .medgraph import (
     attach_ray,
     cayley_ball,
@@ -408,12 +409,21 @@ def _run_row(manifest: ExperimentManifest, params: Mapping) -> ReportRow:
 
 
 def run_manifest(manifest: ExperimentManifest, out_dir=None, jobs: int = 1) -> RunResult:
-    """Execute the grid (optionally threaded), keep row order, write reports."""
-    if jobs > 1 and len(manifest.grid) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(lambda p: _run_row(manifest, p), manifest.grid))
-    else:
-        rows = tuple(_run_row(manifest, p) for p in manifest.grid)
+    """Execute the grid (optionally threaded), keep row order, write reports.
+
+    The rows share one trace-norm memo, so a section two rows both need (the
+    level-1 class A and C sections are the same) is computed once per call;
+    nothing of it outlives the call.
+    """
+    with trace_norm_memo():
+        if jobs > 1 and len(manifest.grid) > 1:
+            # each row runs in its own copy of this context, which holds the memo
+            contexts = [contextvars.copy_context() for _ in manifest.grid]
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                rows = tuple(pool.map(lambda ctx, p: ctx.run(_run_row, manifest, p),
+                                      contexts, manifest.grid))
+        else:
+            rows = tuple(_run_row(manifest, p) for p in manifest.grid)
     exit_code = 1 if any(r.status == "fail" for r in rows) else 0
     result = RunResult(manifest, rows, exit_code)
     if out_dir is not None:

@@ -79,6 +79,17 @@ def dyadic_block(n: int) -> DyadicBlock:
     return DyadicBlock(n, table)
 
 
+def _tent(n: int):
+    """Block n's first index and its tent weights as floats, each equal to
+    float() of `dyadic_block(n)`'s exact value: (k - lo)/lo and (hi - k)/mid
+    are quotients of small integers, which float division rounds once."""
+    if n == 0:
+        return 0, np.ones(2)
+    lo, mid, hi = 2 ** (n - 1), 2 ** n, 2 ** (n + 1)
+    k = np.arange(lo, hi + 1)
+    return lo, np.where(k < mid, (k - lo) / lo, (hi - k) / mid)
+
+
 def block_project(series: AnalyticSeries, n: int) -> AnalyticSeries:
     """Coefficientwise product with the block-n tent."""
     block = dyadic_block(n)
@@ -156,9 +167,8 @@ def besov_norm(series: AnalyticSeries, s: float, n_max: int, grid: int) -> Besov
     coeffs = np.array([complex(c) for c in series.coefficients])
     norms, blocks = [], []
     for n in range(n_max + 1):
-        block = dyadic_block(n)
-        ks = sorted(block.table)
-        vals = np.array([float(block.table[k]) for k in ks]) * coeffs[ks]
+        lo, tent = _tent(n)
+        vals = tent * coeffs[lo: lo + len(tent)]
         nz = np.nonzero(vals)[0]
         if len(nz) == 0:
             norm = 0.0

@@ -11,6 +11,9 @@ thresholds are policy and are recorded in each estimate.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -18,6 +21,7 @@ from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotRealError, StructureViolationError, TailUndefinedError
 from .symbols import (
@@ -52,6 +56,7 @@ __all__ = [
     "tau_transform",
     "S1Estimate",
     "s1_estimate",
+    "trace_norm_memo",
     "series_tail_flag",
     "BonsallReport",
     "bonsall_test",
@@ -186,12 +191,45 @@ def class_spec(symbol: RadialSymbol, level: int, tag: str) -> HankelSpec:
     return HankelSpec(symbol, deriv, power_sum(level - 1), tag)
 
 
+# conj(i^k) for k mod 4: the phases that undo D = diag(i^k) on both sides
+_UNDO_QUARTER_TURNS = np.array([1, -1j, -1, 1j])
+# ||Im R||_F over ||Re R||_F at or below which a phase-reduced section counts as real
+_PHASE_TOL = 1e-12
+
+
+def _section_norm(section: np.ndarray) -> tuple:
+    """(trace norm, path, allowance) of a section, by the cheapest exact path.
+
+    zero: an all-zero section has trace norm 0.0.  symmetric: a real
+    symmetric section has its singular values as the absolute eigenvalues.
+    phase: a complex symmetric S with R = conj(D) S conj(D), D = diag(i^k),
+    real up to ||Im R||_F <= 1e-12 ||Re R||_F (class A and C sections of
+    I_POWER) has ||S||_1 = ||R||_1 within sqrt(K) ||Im R||_F of the
+    eigenvalue sum of Re R; that bound is the allowance, and every entry of R
+    is an entry of S times one of 1, -i, -1, i, which is exact.  svd: every
+    other section.
+    """
+    if not section.any():
+        return 0.0, "zero", 0.0
+    if np.array_equal(section, section.T):
+        if np.isrealobj(section):
+            return float(np.abs(np.linalg.eigvalsh(section)).sum()), "symmetric", 0.0
+        K = section.shape[0]
+        # entry (i, j) turns by conj(i^(i+j)), which depends on i + j alone
+        turns = _UNDO_QUARTER_TURNS[np.arange(2 * K - 1) % 4]
+        reduced = section * sliding_window_view(turns, K)
+        imag = float(np.linalg.norm(reduced.imag))
+        if imag <= _PHASE_TOL * float(np.linalg.norm(reduced.real)):
+            norm = float(np.abs(np.linalg.eigvalsh(reduced.real)).sum())
+            return norm, "phase", math.sqrt(K) * imag
+    return float(np.linalg.svd(section, compute_uv=False).sum()), "svd", 0.0
+
+
 def _trace_norm(section: np.ndarray) -> float:
-    """Sum of singular values.  A real symmetric section has them as the
-    absolute eigenvalues, which eigvalsh finds far cheaper than an SVD."""
-    if np.isrealobj(section) and np.array_equal(section, section.T):
-        return float(np.abs(np.linalg.eigvalsh(section)).sum())
-    return float(np.linalg.svd(section, compute_uv=False).sum())
+    """Sum of singular values, by the first of four paths that applies: zero
+    section, real symmetric (eigvalsh), phase-reduced complex symmetric
+    (eigvalsh of the real part), SVD; see `_section_norm`."""
+    return _section_norm(section)[0]
 
 
 def _to_numeric(entries: np.ndarray) -> np.ndarray:
@@ -227,11 +265,53 @@ class TruncatedMatrix:
         return _trace_norm(self.as_numeric())
 
 
+def _derivative_table(symbol: RadialSymbol, spec: DerivativeSpec, count: int,
+                      exact: bool = False) -> np.ndarray:
+    """(d phi)(n) for n < count, from one table of phi.
+
+    The sum over k of binom(order, k) (-1)^k phi(n + step*k) runs over
+    shifted slices of the table, term by term in `discrete_derivative`'s
+    order, so every value has its bits.  When exact, or when phi has values
+    other than floats (complex too for a complex symbol), the sum runs on an
+    object array with Python's arithmetic, which keeps ints and Fractions
+    exact; unless exact, the result is then converted as the section needs.
+    """
+    numeric = float if symbol.real else complex
+    phi = [symbol.eval(n) for n in range(count + spec.step * spec.order)]
+    kinds = (float,) if symbol.real else (float, complex)
+    on_objects = exact or not all(isinstance(v, kinds) for v in phi)
+    table = np.array(phi, dtype=object if on_objects else numeric)
+    total = 0
+    for k in range(spec.order + 1):
+        term = binomial(spec.order, k) * table[spec.step * k: spec.step * k + count]
+        total = total + term if k % 2 == 0 else total - term
+    if exact or not on_objects:
+        return total
+    return np.asarray(total.tolist(), dtype=numeric)
+
+
+def _weighted_section(weight: WeightScheme, vals: np.ndarray, K: int) -> np.ndarray:
+    """entry(i, j) = weight(i, j) * vals[i + j] on the K x K section, from the
+    2K - 1 values.  A POWER_SUM weight depends on i + j alone, so its section
+    is a read-only Hankel view of one weighted vector."""
+    if weight.variant == "POWER_SUM":
+        return sliding_window_view((1.0 + np.arange(2 * K - 1)) ** weight.params[0] * vals, K)
+    idx = np.arange(K)
+    if weight.variant == "POWER_SPLIT":
+        a, b = weight.params
+        wmat = np.outer((1.0 + idx) ** a, (1.0 + idx) ** b)
+    else:
+        level = weight.params[0]
+        w = np.array([math.sqrt(binomial_weight(level + i - 1, level - 1)) for i in range(K)])
+        wmat = np.outer(w, w)
+    return wmat * sliding_window_view(vals, K)
+
+
 def build_hankel(spec: HankelSpec, K: int, exact: bool = False) -> TruncatedMatrix:
     """K x K section with entry(i,j) = weight(i,j) * (d phi)(i+j)."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    vals = [discrete_derivative(spec.symbol, spec.derivative, s) for s in range(2 * K - 1)]
+    vals = _derivative_table(spec.symbol, spec.derivative, 2 * K - 1, exact)
     prov = {"kind": "hankel", "spec": spec.label(), "K": K}
     points = tuple((i,) for i in range(K))
     if exact:
@@ -240,19 +320,7 @@ def build_hankel(spec: HankelSpec, K: int, exact: bool = False) -> TruncatedMatr
             for j in range(K):
                 data[i, j] = spec.weight.pair_exact(i, j) * vals[i + j]
         return TruncatedMatrix(data, points, prov)
-    svals = np.asarray(vals, dtype=float if spec.symbol.real else complex)
-    idx = np.arange(K)
-    total = idx[:, None] + idx[None, :]
-    if spec.weight.variant == "POWER_SUM":
-        wmat = (1.0 + total) ** spec.weight.params[0]
-    elif spec.weight.variant == "POWER_SPLIT":
-        a, b = spec.weight.params
-        wmat = np.outer((1.0 + idx) ** a, (1.0 + idx) ** b)
-    else:
-        level = spec.weight.params[0]
-        w = np.array([math.sqrt(binomial_weight(level + i - 1, level - 1)) for i in range(K)])
-        wmat = np.outer(w, w)
-    return TruncatedMatrix(wmat * svals[total], points, prov)
+    return TruncatedMatrix(np.array(_weighted_section(spec.weight, vals, K)), points, prov)
 
 
 def lattice_points(dim: int, cutoff: int) -> tuple:
@@ -381,8 +449,7 @@ def build_multiradial_T(phi_tilde, dim: int, cutoff: int, step: int = 2,
     prov = {"kind": "lattice", "dim": dim, "cutoff": cutoff, "step": step}
     if isinstance(phi_tilde, RadialSymbol):
         prov["spec"] = f"radial[{phi_tilde.label()}]"
-        dspec = DerivativeSpec(step, dim)
-        vals = [discrete_derivative(phi_tilde, dspec, s) for s in range(2 * cutoff + 1)]
+        vals = _derivative_table(phi_tilde, DerivativeSpec(step, dim), 2 * cutoff + 1, exact)
         totals = np.array([sum(p) for p in pts])
         if exact:
             data = np.empty((len(pts), len(pts)), dtype=object)
@@ -390,8 +457,7 @@ def build_multiradial_T(phi_tilde, dim: int, cutoff: int, step: int = 2,
                 for b, tb in enumerate(totals):
                     data[a, b] = vals[ta + tb]
         else:
-            svals = np.asarray(vals, dtype=float if phi_tilde.real else complex)
-            data = svals[totals[:, None] + totals[None, :]]
+            data = vals[totals[:, None] + totals[None, :]]
         return TruncatedMatrix(data, pts, prov)
 
     prov["spec"] = _label(phi_tilde, getattr(phi_tilde, "__name__", "custom"))
@@ -596,6 +662,35 @@ _GROWTH_BOUND = 10.0
 _DIAG_THRESHOLD = 0.85
 
 
+# (weight, K, dtype, digest of the derivative values) -> (norm, path, allowance)
+# of a Hankel section, while a trace_norm_memo block is open
+_MEMO: contextvars.ContextVar = contextvars.ContextVar("trace_norm_memo", default=None)
+
+
+@contextlib.contextmanager
+def trace_norm_memo():
+    """Compute the trace norm of each distinct Hankel section once inside the
+    block (one manifest run): s1_estimate looks sections up by their numeric
+    content, the weight scheme, the size and a digest of the derivative
+    values, never by the symbol, whose equality ignores a table's values or a
+    function's body.  The memo holds norms only, and is gone when the block
+    ends; threads that should share it run in copies of this context."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memo_norm(memo, key, section: np.ndarray) -> tuple:
+    if memo is None:
+        return _section_norm(section)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _section_norm(section)
+    return found
+
+
 def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float) -> S1Estimate:
     """Trace norms over increasing sections and a verdict.
 
@@ -603,18 +698,33 @@ def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float) -> S1Estimate
     over the final three sizes.  DIVERGENT: the diagonal certificate fires
     (ratio at least 0.85), or the values pass 10 times the first value with
     nondecreasing increments.  Anything else is UNDECIDED.
+
+    Each section's norm takes one of four paths, recorded per size in
+    `detail["paths"]`: zero, symmetric, phase (with its allowance in
+    `detail["phase_allowance"]`) or svd; see `_section_norm`.  Inside a
+    `trace_norm_memo` block, a HankelSpec's sections already seen there are
+    not computed again.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing with >= 2 entries")
+    memo = None
     if isinstance(spec_or_builder, HankelSpec):
-        big = build_hankel(spec_or_builder, sizes[-1]).as_numeric()
+        spec = spec_or_builder
+        vals = _derivative_table(spec.symbol, spec.derivative, 2 * sizes[-1] - 1)
+        big = _weighted_section(spec.weight, vals, sizes[-1])
         sections = [big[:K, :K] for K in sizes]
+        memo = _MEMO.get()
+        keys = [(spec.weight, K, vals.dtype.str,
+                 hashlib.blake2b(vals[: 2 * K - 1].tobytes(), digest_size=16).digest())
+                for K in sizes]
     elif callable(spec_or_builder):
         sections = [spec_or_builder(K).as_numeric() for K in sizes]
+        keys = [None] * len(sizes)
     else:
         raise TypeError("expected a HankelSpec or a size -> TruncatedMatrix builder")
-    values = [_trace_norm(sec) for sec in sections]
+    values, paths, allowances = zip(*(_memo_norm(memo, key, sec)
+                                      for key, sec in zip(keys, sections)))
     for a, b in zip(values, values[1:]):
         if b < a - 1e-9 * (1.0 + a):
             raise StructureViolationError(
@@ -646,8 +756,10 @@ def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float) -> S1Estimate
         "diag_ratio": diag_ratio,
         "diag_certificate": cert,
         "growth_trigger": grown and growing,
+        "paths": paths,
+        "phase_allowance": allowances,
     }
-    return S1Estimate(tuple(sizes), tuple(values), gap, verdict, extrapolated, detail)
+    return S1Estimate(tuple(sizes), values, gap, verdict, extrapolated, detail)
 
 
 def series_tail_flag(terms: Sequence[float]):

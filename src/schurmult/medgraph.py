@@ -466,6 +466,44 @@ def cayley_ball(radius: int) -> FiniteGraph:
     return graph_from_edges([_word_label(w) for w in words], sorted(edges))
 
 
+def _tree_distances(parent: Sequence[int]) -> np.ndarray:
+    """Hop distances of the tree given by each vertex's parent (-1 at the root).
+
+    Moving from a vertex's parent to the vertex is one step away from every
+    vertex outside its subtree and one step towards every vertex inside it,
+    so each row is its parent's row plus 1, minus 2 on the subtree, which is
+    one slice of a depth-first order.  This is depth(x) + depth(y) -
+    2 depth(meet) without forming the meets.
+    """
+    n = len(parent)
+    children = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(v)
+    order, stack = [], [parent.index(-1)]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(children[v])
+    if len(order) != n:
+        raise StructureViolationError("parent links do not form one tree")
+    start = np.empty(n, dtype=np.intp)
+    start[order] = np.arange(n)
+    size = np.ones(n, dtype=np.intp)
+    depth = np.zeros(n, dtype=np.int32)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    order = np.array(order)
+    dist = np.empty((n, n), dtype=np.int32)
+    dist[order[0]] = depth
+    for v in order[1:]:
+        np.add(dist[parent[v]], 1, out=dist[v])
+        dist[v, order[start[v]: start[v] + size[v]]] -= 2
+    return dist
+
+
 def coset_tree(radius: int) -> FiniteGraph:
     """The coset tree over the radius-R ball: group words plus proper cosets.
 
@@ -493,6 +531,7 @@ def coset_tree(radius: int) -> FiniteGraph:
 
     labels = [_word_label(w) for w in words]
     index = {w: i for i, w in enumerate(words)}
+    parent = [-1] * count   # towards e
     edges = []
     for w in words:
         if len(w) > radius - 1:
@@ -503,9 +542,12 @@ def coset_tree(radius: int) -> FiniteGraph:
             rep = _word_label(w)
             labels.append(("" if rep == "e" else rep) + f"G{f + 1}")
             coset = len(labels) - 1
+            parent[coset] = index[w]
             for member in (w, _word_mul(w, f, 1), _word_mul(w, f, 2)):
                 edges.append((index[member], coset))
-    graph = graph_from_edges(labels, edges)
+                if member != w:
+                    parent[index[member]] = coset
+    graph = graph_from_edges(labels, edges, _tree_distances(parent))
     if graph.size != count or graph.edge_count != count - 1:
         raise StructureViolationError("coset tree is not the expected tree ball")
     return graph

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import schurmult
-from schurmult import bench, medgraph
+from schurmult import bench, hankel, medgraph
 from schurmult.bench import (
     DEFAULTS,
     ExperimentManifest,
@@ -23,6 +23,7 @@ from schurmult.bench import (
     write_reports,
 )
 from schurmult.cli import main
+from schurmult.hankel import class_spec, s1_estimate
 from schurmult.medgraph import cayley_ball
 from schurmult.mlab import cb_norm_sdp, radial_kernel
 from schurmult.serialize import cb_result_to_json
@@ -319,6 +320,52 @@ def test_write_reports_table_symbol(tmp_path):
     assert "estimate" in header and "status" in header
     payload = json.loads(json_path.read_text())
     assert payload["rows"][0]["params"]["params"][0][1] == [0.0, 0.5]
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Count the eigvalsh and SVD calls that trace norms make."""
+    calls = []
+    for name in ("eigvalsh", "svd"):
+        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(1)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_inclusions_compute_each_section_once_per_run(solver_calls):
+    # 36 rows of 4 sections took 144 eigensolver or SVD calls.  PARITY's 16
+    # step-2 sections (A and C, levels 1 and 2) are zero and take none; the
+    # level-1 C sections of the other five symbols are their A sections
+    first = run_manifest(built_in_manifest("inclusions"))
+    calls = len(solver_calls)
+    assert calls == 144 - 16 - 5 * 4
+    second = run_manifest(built_in_manifest("inclusions"))
+    # nothing survives a run: the second computes every section again
+    assert len(solver_calls) == 2 * calls
+    assert hankel._MEMO.get() is None
+    assert [r.values for r in first.rows] == [r.values for r in second.rows]
+
+
+def test_threaded_inclusions_csv_is_byte_identical(tmp_path):
+    one = run_manifest(built_in_manifest("inclusions"), out_dir=tmp_path / "j1", jobs=1)
+    two = run_manifest(built_in_manifest("inclusions"), out_dir=tmp_path / "j2", jobs=2)
+    assert one.csv_path.read_bytes() == two.csv_path.read_bytes()
+
+
+def test_memo_tells_tables_apart_by_their_values():
+    # both symbols are TABLE(5, ZERO) and compare equal; their sections differ
+    tables = ([1.0, 0.5, 0.25, 0.125, 0.0625], [1.0, -0.5, 0.25, 0.75, 0.0625])
+    grid = [{"symbol": "TABLE", "params": [values, "ZERO"], "level": 1, "tag": "B"}
+            for values in tables]
+    rows = run_manifest(small_manifest("hankel.s1_estimate", grid, sizes=(4, 8))).rows
+    symbols = [make_symbol("TABLE", values, "ZERO") for values in tables]
+    assert symbols[0] == symbols[1]
+    assert rows[0].values["estimate"] != rows[1].values["estimate"]
+    for row, symbol in zip(rows, symbols):
+        est = s1_estimate(class_spec(symbol, 1, "B"), (4, 8), 1e-3)
+        assert row.values["estimate"] == est.values[-1]
 
 
 # ---------------------------------------------------------------- cli

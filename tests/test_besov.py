@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurmult import besov
 from schurmult.besov import (
     AnalyticSeries,
     besov_norm,
@@ -49,6 +50,14 @@ def test_dyadic_block_tables():
         assert dyadic_block(n).table[2 ** n] == 1
     with pytest.raises(ValueError):
         dyadic_block(-1)
+
+
+def test_float_tents_are_the_exact_tents_rounded():
+    for n in range(13):
+        table = dyadic_block(n).table
+        lo, tent = besov._tent(n)
+        assert list(range(lo, lo + len(tent))) == sorted(table)
+        assert tent.tolist() == [float(table[k]) for k in sorted(table)]
 
 
 def test_blocks_partition_unity():

@@ -49,6 +49,7 @@ from schurmult.symbols import (
     geometric,
     imaginary_power,
     parity,
+    partial_sum,
     power,
     sphere,
 )
@@ -462,6 +463,101 @@ def test_trace_norm_takes_svd_path_off_real_symmetric(eigvalsh_calls):
     symmetric = build_hankel(class_spec(geometric(0.5), 1, "B"), 32)
     symmetric.trace_norm()
     assert len(eigvalsh_calls) == 1
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the calls made to numpy.linalg.svd."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def undo_phase(section):
+    """conj(D) S conj(D) with D = diag(i^k)."""
+    k = np.arange(section.shape[0])
+    return section * (-1j) ** ((k[:, None] + k[None, :]) % 4)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("tag", ["A", "C"])
+def test_phase_reduced_sections_match_svd(tag, level, eigvalsh_calls, svd_calls):
+    spec = class_spec(imaginary_power(1.0), level, tag)
+    sizes = [1, 7, 64, 512]
+    est = s1_estimate(spec, sizes, 1e-3)
+    assert est.detail["paths"] == ("phase",) * 4
+    assert len(eigvalsh_calls) == 4 and len(svd_calls) == 0
+    for K, value, allowance in zip(sizes, est.values, est.detail["phase_allowance"]):
+        sec = build_hankel(spec, K).entries
+        assert np.iscomplexobj(sec)
+        assert value == pytest.approx(svd_trace_norm(sec), rel=1e-12)
+        assert allowance == math.sqrt(K) * float(np.linalg.norm(undo_phase(sec).imag))
+    assert est.detail["phase_allowance"][-1] > 0.0
+
+
+def test_unaligned_complex_sections_keep_the_svd(eigvalsh_calls):
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    sections = [z + z.T]
+    for level in (1, 2):
+        sections.append(build_hankel(class_spec(imaginary_power(1.0), level, "B"), 64).entries)
+    for sec in sections:
+        assert np.array_equal(sec, sec.T)
+        assert hankel._section_norm(sec) == (svd_trace_norm(sec), "svd", 0.0)
+    est = s1_estimate(class_spec(imaginary_power(1.0), 2, "B"), [8, 16], 1e-3)
+    assert est.detail["paths"] == ("svd", "svd")
+    assert len(eigvalsh_calls) == 0
+
+
+def test_zero_sections_take_no_eigensolver(eigvalsh_calls, svd_calls):
+    for zero in (np.zeros((6, 6)), np.zeros((6, 6), dtype=complex), np.zeros((3, 5))):
+        assert hankel._section_norm(zero) == (0.0, "zero", 0.0)
+    # step-2 differences of (-1)^n vanish
+    est = s1_estimate(class_spec(parity(), 2, "A"), [8, 16, 32], 1e-3)
+    assert est.values == (0.0, 0.0, 0.0)
+    assert est.detail["paths"] == ("zero",) * 3
+    assert len(eigvalsh_calls) == len(svd_calls) == 0
+
+
+CATALOG_SYMBOLS = [
+    geometric(0.5), geometric(Fraction(1, 3)), geometric(0.5j), parity(),
+    alternating_power(1.5), imaginary_power(1.0), power(1.5), power(0.0),
+    partial_sum(2), sphere(3),
+    from_table([0.5, -0.25, 1e-3, -0.0, 2.0], tail="ZERO"),
+    from_table([1, Fraction(1, 2), 3], tail="CONSTANT"),
+]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("tag", ["A", "B", "C"])
+@pytest.mark.parametrize("symbol", CATALOG_SYMBOLS, ids=lambda s: s.label())
+def test_table_built_sections_are_bitwise_the_per_value_ones(symbol, tag, level):
+    spec = class_spec(symbol, level, tag)
+    for K in (1, 9, 64):
+        vals = [discrete_derivative(symbol, spec.derivative, n) for n in range(2 * K - 1)]
+        svals = np.asarray(vals, dtype=float if symbol.real else complex)
+        total = np.add.outer(np.arange(K), np.arange(K))
+        want = (1.0 + total) ** (level - 1) * svals[total]
+        got = build_hankel(spec, K).entries
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_table_built_exact_sections_stay_exact():
+    for symbol in (geometric(Fraction(1, 3)), parity(), sphere(2)):
+        spec = class_spec(symbol, 2, "A")
+        got = build_hankel(spec, 5, exact=True).entries
+        assert got.dtype == object
+        for i in range(5):
+            for j in range(5):
+                want = (1 + i + j) * discrete_derivative(symbol, spec.derivative, i + j)
+                assert got[i, j] == want and type(got[i, j]) is type(want)
+    assert isinstance(build_hankel(class_spec(geometric(Fraction(1, 3)), 1, "B"), 3,
+                                   exact=True).entries[2, 2], Fraction)
 
 
 # ---------------------------------------------------------------- Bonsall

@@ -225,6 +225,14 @@ def test_word_distance_left_invariant(gw, xw, yw):
     assert d0 == word_distance(_word_label(y), _word_label(x))
 
 
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_coset_tree_distances_are_the_bfs_ones(radius):
+    g = coset_tree(radius)
+    bfs = medgraph._all_pairs_bfs(g.neighbors)
+    assert g.distances.dtype == bfs.dtype
+    assert np.array_equal(g.distances, bfs)
+
+
 def test_coset_tree_structure():
     g = coset_tree(2)
     assert g.size == 46
