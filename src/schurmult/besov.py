@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TailUndefinedError
 from .hankel import class_spec, s1_estimate
-from .symbols import RadialSymbol, binomial
+from .symbols import RadialSymbol, _value_table, binomial
 
 __all__ = [
     "AnalyticSeries",
@@ -219,14 +219,12 @@ def symbol_series(symbol: RadialSymbol, level: int, flavor: str, L: int) -> Anal
         raise ValueError("level must be >= 1")
     if L < 1:
         raise ValueError("L must be >= 1")
-    vals = [symbol.eval(n) for n in range(L)]
-    poly = _flavor_poly(level, flavor)
-    out = [0] * L
-    for k, pk in poly.items():
-        for n in range(k, L):
-            out[n] = out[n] + pk * vals[n - k]
+    vals, _ = _value_table(symbol, L)
+    out = np.zeros(L, dtype=vals.dtype)
+    for k, pk in _flavor_poly(level, flavor).items():
+        out[k:] = out[k:] + pk * vals[: max(L - k, 0)]
     prov = {"symbol": symbol.label(), "flavor": flavor, "level": level, "length": L}
-    return AnalyticSeries(tuple(out), prov)
+    return AnalyticSeries(tuple(out.tolist()), prov)
 
 
 def shift_series(series: AnalyticSeries, direction: str) -> AnalyticSeries:

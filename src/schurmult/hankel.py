@@ -30,7 +30,7 @@ from .symbols import (
     _as_fn,
     binomial,
     binomial_weight,
-    discrete_derivative,
+    derivative_table,
     sphere,
 )
 
@@ -265,31 +265,6 @@ class TruncatedMatrix:
         return _trace_norm(self.as_numeric())
 
 
-def _derivative_table(symbol: RadialSymbol, spec: DerivativeSpec, count: int,
-                      exact: bool = False) -> np.ndarray:
-    """(d phi)(n) for n < count, from one table of phi.
-
-    The sum over k of binom(order, k) (-1)^k phi(n + step*k) runs over
-    shifted slices of the table, term by term in `discrete_derivative`'s
-    order, so every value has its bits.  When exact, or when phi has values
-    other than floats (complex too for a complex symbol), the sum runs on an
-    object array with Python's arithmetic, which keeps ints and Fractions
-    exact; unless exact, the result is then converted as the section needs.
-    """
-    numeric = float if symbol.real else complex
-    phi = [symbol.eval(n) for n in range(count + spec.step * spec.order)]
-    kinds = (float,) if symbol.real else (float, complex)
-    on_objects = exact or not all(isinstance(v, kinds) for v in phi)
-    table = np.array(phi, dtype=object if on_objects else numeric)
-    total = 0
-    for k in range(spec.order + 1):
-        term = binomial(spec.order, k) * table[spec.step * k: spec.step * k + count]
-        total = total + term if k % 2 == 0 else total - term
-    if exact or not on_objects:
-        return total
-    return np.asarray(total.tolist(), dtype=numeric)
-
-
 def _weighted_section(weight: WeightScheme, vals: np.ndarray, K: int) -> np.ndarray:
     """entry(i, j) = weight(i, j) * vals[i + j] on the K x K section, from the
     2K - 1 values.  A POWER_SUM weight depends on i + j alone, so its section
@@ -311,7 +286,7 @@ def build_hankel(spec: HankelSpec, K: int, exact: bool = False) -> TruncatedMatr
     """K x K section with entry(i,j) = weight(i,j) * (d phi)(i+j)."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    vals = _derivative_table(spec.symbol, spec.derivative, 2 * K - 1, exact)
+    vals = derivative_table(spec.symbol, spec.derivative, 2 * K - 1, exact)
     prov = {"kind": "hankel", "spec": spec.label(), "K": K}
     points = tuple((i,) for i in range(K))
     if exact:
@@ -449,16 +424,9 @@ def build_multiradial_T(phi_tilde, dim: int, cutoff: int, step: int = 2,
     prov = {"kind": "lattice", "dim": dim, "cutoff": cutoff, "step": step}
     if isinstance(phi_tilde, RadialSymbol):
         prov["spec"] = f"radial[{phi_tilde.label()}]"
-        vals = _derivative_table(phi_tilde, DerivativeSpec(step, dim), 2 * cutoff + 1, exact)
+        vals = derivative_table(phi_tilde, DerivativeSpec(step, dim), 2 * cutoff + 1, exact)
         totals = np.array([sum(p) for p in pts])
-        if exact:
-            data = np.empty((len(pts), len(pts)), dtype=object)
-            for a, ta in enumerate(totals):
-                for b, tb in enumerate(totals):
-                    data[a, b] = vals[ta + tb]
-        else:
-            data = vals[totals[:, None] + totals[None, :]]
-        return TruncatedMatrix(data, pts, prov)
+        return TruncatedMatrix(vals[totals[:, None] + totals[None, :]], pts, prov)
 
     prov["spec"] = _label(phi_tilde, getattr(phi_tilde, "__name__", "custom"))
     # m + n stays in the box of side 2*cutoff + 1, and its corners in the
@@ -711,7 +679,7 @@ def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float) -> S1Estimate
     memo = None
     if isinstance(spec_or_builder, HankelSpec):
         spec = spec_or_builder
-        vals = _derivative_table(spec.symbol, spec.derivative, 2 * sizes[-1] - 1)
+        vals = derivative_table(spec.symbol, spec.derivative, 2 * sizes[-1] - 1)
         big = _weighted_section(spec.weight, vals, sizes[-1])
         sections = [big[:K, :K] for K in sizes]
         memo = _MEMO.get()
@@ -810,15 +778,8 @@ def bonsall_test(a, mode: str, K: int) -> BonsallReport:
     if any(isinstance(v, complex) for v in vals):
         raise NotRealError("MONOTONE needs a real sequence")
     scale = max(1.0, max(abs(v) for v in vals))
-    nonneg = True
-    for order in range(3):
-        dspec = DerivativeSpec(1, order)
-        for n in range(K + 1):
-            if discrete_derivative(vals, dspec, n) < -1e-12 * scale:
-                nonneg = False
-                break
-        if not nonneg:
-            break
+    nonneg = not any((derivative_table(vals, DerivativeSpec(1, order), K + 1, exact=True)
+                      < -1e-12 * scale).any() for order in range(3))
     terms = [float(v) for v in vals[: K + 1]]
     flag, sums = series_tail_flag(terms)
     return BonsallReport(nonneg, float(sum(terms)), flag, sums)

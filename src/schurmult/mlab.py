@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConvergenceError,
@@ -24,6 +25,7 @@ from .errors import (
     RayTooShortError,
     StructureViolationError,
     TailBoundExceededError,
+    TailUndefinedError,
 )
 from .hankel import (
     TruncatedMatrix,
@@ -52,7 +54,7 @@ from .symbols import (
     DerivativeSpec,
     RadialSymbol,
     binomial,
-    discrete_derivative,
+    derivative_table,
     from_function,
     limits_report,
 )
@@ -762,27 +764,39 @@ def tree_product_witness(balls: Sequence[TreeBall], phi_tilde, cutoff: int,
 # median complex witnesses
 
 
-def _increment_tail(symbol: RadialSymbol, start: int, cache: dict,
-                    cap: int = 4096) -> float:
-    """Sum of |step-2 increments| from `start` on, resolved adaptively."""
-    got = cache.get(start)
-    if got is not None:
-        return got
-    total = 0.0
-    quiet = 0
-    for j in range(cap):
-        term = abs(discrete_derivative(symbol, _STEP2, start + 2 * j))
-        total += term
-        if term < 1e-17 * (1.0 + total):
-            quiet += 1
-            if quiet >= 8:
-                cache[start] = total
-                return total
-        else:
-            quiet = 0
-    raise TailBoundExceededError(
-        f"increment tail from {start} did not resolve within {cap} terms"
-    )
+def _increment_tails(symbol: RadialSymbol, starts, cap: int = 4096) -> dict:
+    """Sum of |step-2 increments| from each start on, stopped once 8
+    consecutive terms fall below 1e-17 (1 + running total) and failing after
+    `cap` terms.  Every sum reads one table of increments, doubled while a
+    sum is open; a table symbol is read only up to its end."""
+    phi: list = []
+    tails: dict = {}
+    length = max(starts) + 64
+    while True:
+        try:
+            while len(phi) < length + 2:
+                phi.append(symbol(len(phi)))
+            ended = None
+        except TailUndefinedError as exc:
+            ended = exc
+        incs = derivative_table(phi, _STEP2, len(phi) - 2)
+        incs = np.hypot(incs.real, incs.imag)   # Python's abs, bit for bit
+        for start in set(starts) - set(tails):
+            terms = incs[start::2][:cap]
+            totals = np.cumsum(terms)   # in the order of a running sum
+            quiet = terms < 1e-17 * (1.0 + totals)
+            runs = sliding_window_view(quiet, 8).all(axis=1) if len(terms) >= 8 else quiet[:0]
+            if runs.any():   # runs[j]: terms j .. j + 7 are all quiet
+                tails[start] = float(totals[runs.argmax() + 7])
+            elif len(terms) == cap:
+                raise TailBoundExceededError(
+                    f"increment tail from {start} did not resolve within {cap} terms"
+                )
+            elif ended is not None:
+                raise ended
+        if len(tails) == len(set(starts)):
+            return tails
+        length = min(2 * length, max(starts) + 2 * cap)
 
 
 _MEMBERSHIP_SIZES = (64, 128, 256, 512)
@@ -804,12 +818,7 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
     """
     if not isinstance(symbol, RadialSymbol):
         raise TypeError("median witnesses need a radial symbol")
-    rep = limits_report(symbol)
-    if rep.c_plus is None:
-        raise ConvergenceError(
-            f"parity limits of {symbol.label()} undetermined; no centered target"
-        )
-    cp, cm = rep.c_plus, rep.c_minus
+    centered, cp, cm = split_radial(symbol)
     est = s1_estimate(class_spec(symbol, cx.dimension, "C"), _MEMBERSHIP_SIZES, tol=1e-3)
     if est.verdict != "CONVERGENT":
         raise ConvergenceError(
@@ -830,11 +839,7 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
     l1 = dist[core[:, None], mt]
     l2 = l1.T   # the stable-median table is symmetric
 
-    hv = np.asarray(
-        [discrete_derivative(symbol, _STEP2, t)
-         for t in range(2 * K + 2 * int(l1.max()) + 2)],
-        dtype=float if symbol.real else complex,
-    )
+    hv = derivative_table(symbol, _STEP2, 2 * K + 2 * int(l1.max()) + 2)
     idx = np.arange(K)
     H = hv[idx[:, None] + idx[None, :]]   # the plain increment section
     At, Bt = polar_factor(H)
@@ -844,15 +849,15 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
 
     width = int(l1.max()) + 1
     cells = [divmod(int(c), width) for c in np.unique((l1 + l2) * width + np.maximum(l1, l2))]
-    tail_cache: dict = {}
+    starts = [s + 2 * max(K - mx, 0) for s, mx in cells]   # where each cell's tail begins
+    tails = _increment_tails(symbol, starts)
     max_err = 0.0
     max_tail = 0.0
     values = np.zeros((2 * l1.max() + 1, l1.max() + 1), dtype=complex)   # by (s, max)
-    for s, mx in cells:
-        jlim = K - mx
-        value = complex(hv[s: s + 2 * jlim: 2].sum()) if jlim > 0 else 0.0
-        target = symbol(s) - cp - cm * (-1) ** s
-        tail = _increment_tail(symbol, s + 2 * jlim, tail_cache)
+    for (s, mx), start in zip(cells, starts):
+        value = complex(hv[s: start: 2].sum()) if start > s else 0.0
+        target = centered(s)
+        tail = tails[start]
         err = abs(value - target)
         if err > tail + 1e-9 * (1.0 + abs(target)):
             raise StructureViolationError(

@@ -3,7 +3,8 @@
 A radial symbol is a function phi on hop counts n >= 0.  Everything downstream
 (Hankel sections, Besov series, kernel witnesses) consumes symbols through the
 small interface here: pointwise evaluation, forward differences with step 1 or
-2, and parity-split limit detection.
+2, and parity-split limit detection.  `derivative_table` takes differences over
+a range from one table, bit for bit those of `discrete_derivative` at a point.
 
 Exact arithmetic is preserved whenever the inputs are exact: tables of ints or
 Fractions flow through the difference operators without float conversion.
@@ -37,6 +38,7 @@ __all__ = [
     "from_table",
     "from_function",
     "derived_table",
+    "derivative_table",
     "CATALOG",
     "make_symbol",
     "symbol_constructor",
@@ -204,7 +206,7 @@ def from_function(fn: Callable[[int], Scalar], name: str = "CUSTOM",
 def derived_table(symbol: RadialSymbol, spec: "DerivativeSpec", length: int,
                   tail: str = "ERROR") -> RadialSymbol:
     """Table of a discrete derivative of `symbol`, usable as a symbol itself."""
-    vals = [discrete_derivative(symbol, spec, n) for n in range(length)]
+    vals = derivative_table(symbol, spec, length, exact=True).tolist()
     return from_table(vals, tail=tail, name=f"D{spec.step}^{spec.order}[{symbol.name}]")
 
 
@@ -260,6 +262,35 @@ def _as_fn(symbol) -> Callable[[int], Scalar]:
         return seq[n]
 
     return fn
+
+
+def _value_table(symbol, length: int, exact: bool = False):
+    """phi(n) for n < length, and float or complex: from `symbol.real`, else
+    from the values.  The table holds Python objects when exact or when phi
+    has other values (ints, Fractions), so that those stay exact."""
+    phi = [_as_fn(symbol)(n) for n in range(length)]
+    real = (symbol.real if isinstance(symbol, RadialSymbol)
+            else not any(isinstance(v, complex) for v in phi))
+    numeric = float if real else complex
+    kinds = (float,) if real else (float, complex)
+    on_objects = exact or not all(isinstance(v, kinds) for v in phi)
+    return np.array(phi, dtype=object if on_objects else numeric), numeric
+
+
+def derivative_table(symbol, spec: DerivativeSpec, count: int,
+                     exact: bool = False) -> np.ndarray:
+    """(d phi)(n) for n < count, from one table of phi; takes what
+    `discrete_derivative` takes.  The sum runs over shifted slices, term by
+    term in `discrete_derivative`'s order, so every value has its bits; on
+    objects it uses Python's arithmetic and, unless exact, is then converted."""
+    table, numeric = _value_table(symbol, count + spec.step * spec.order, exact)
+    total = 0
+    for k in range(spec.order + 1):
+        term = binomial(spec.order, k) * table[spec.step * k: spec.step * k + count]
+        total = total + term if k % 2 == 0 else total - term
+    if exact or table.dtype != object:
+        return total
+    return np.asarray(total.tolist(), dtype=numeric)
 
 
 def discrete_derivative(symbol, spec: DerivativeSpec, n: int) -> Scalar:
@@ -361,8 +392,8 @@ def asymptotic_ratio_check(a, alpha: float, order: int, window=(10, 200),
     lo, hi = window
     if not (0 <= lo < hi):
         raise ValueError(f"bad window {window}")
-    spec = DerivativeSpec(1, order)
-    stats = [abs(discrete_derivative(a, spec, n)) * (n + 1) ** alpha for n in range(lo, hi + 1)]
+    der = derivative_table(a, DerivativeSpec(1, order), hi + 1)[lo:].tolist()
+    stats = [abs(d) * (n + 1) ** alpha for n, d in enumerate(der, lo)]
     lower, upper = min(stats), max(stats)
     passed = lower > 0 and upper / lower <= ratio_bound
     return RatioCheck(lower, upper, upper / lower if lower > 0 else math.inf, passed)

@@ -1,5 +1,6 @@
 """Tests for the dyadic series diagnostics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,8 +29,11 @@ from schurmult.symbols import (
     discrete_derivative,
     from_table,
     geometric,
+    imaginary_power,
     parity,
+    partial_sum,
     power,
+    sphere,
 )
 
 
@@ -206,6 +210,30 @@ def test_symbol_series_identity_property(level, table):
     spec = DerivativeSpec(2, level)
     for n in range(2 * level, 12):
         assert s.coefficients[n] == discrete_derivative(sym, spec, n - 2 * level)
+
+
+def reference_symbol_series(symbol, level, flavor, L):
+    """symbol_series coefficient by coefficient: each flavor-polynomial term
+    added in at every n, in polynomial order."""
+    vals = [symbol.eval(n) for n in range(L)]
+    out = [0] * L
+    for k, pk in besov._flavor_poly(level, flavor).items():
+        for n in range(k, L):
+            out[n] = out[n] + pk * vals[n - k]
+    return out
+
+
+@pytest.mark.parametrize("sym", [
+    geometric(0.5), geometric(Fraction(1, 2)), geometric(0.3 + 0.4j), parity(),
+    alternating_power(1.5), imaginary_power(0.5), power(0.5), partial_sum(2), sphere(5),
+    from_table([1, -2, 0.5, 3, 0.25], tail="ZERO"),
+], ids=lambda s: s.label())
+def test_symbol_series_is_the_coefficientwise_sum(sym):
+    for level, flavor, L in itertools.product((1, 2), "ABC", (1, 3, 4, 2049)):
+        got = symbol_series(sym, level, flavor, L).coefficients
+        want = reference_symbol_series(sym, level, flavor, L)
+        # repr tells apart every float bit pattern, the sign of zero included
+        assert [(type(g), repr(g)) for g in got] == [(type(w), repr(w)) for w in want]
 
 
 # ---------------------------------------------------------------- shifts

@@ -155,10 +155,12 @@ def test_lattice_points_graded_lex():
 
 def test_multiradial_fast_path_matches_subset_sum():
     sym = geometric(Fraction(2, 3))
-    fast = build_multiradial_T(sym, 2, 5, step=2, exact=True)
-    slow = build_multiradial_T(radial_lift(sym), 2, 5, step=2, exact=True)
-    assert fast.points == slow.points
-    assert all(a == b for a, b in zip(fast.entries.ravel(), slow.entries.ravel()))
+    for dim in (1, 2, 3):
+        fast = build_multiradial_T(sym, dim, 5, step=2, exact=True)
+        slow = build_multiradial_T(radial_lift(sym), dim, 5, step=2, exact=True)
+        assert fast.points == slow.points and fast.entries.dtype == object
+        assert all(a == b and type(a) is Fraction
+                   for a, b in zip(fast.entries.ravel(), slow.entries.ravel()))
 
     sym = alternating_power(1.5)
     fast = build_multiradial_T(sym, 2, 5, step=2)

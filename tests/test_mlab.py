@@ -19,6 +19,7 @@ from schurmult.errors import (
     RayTooShortError,
     StructureViolationError,
     TailBoundExceededError,
+    TailUndefinedError,
 )
 from schurmult.hankel import build_multiradial_T, radial_lift
 from schurmult.medgraph import (
@@ -470,6 +471,57 @@ def test_median_witness_finite_symbol_zero_tail():
     w = median_witness(cx, fin, K=14)
     assert w.tail_bound == 0.0
     assert w.reproduction_error <= 1e-10
+
+
+def test_median_witness_cells_past_the_section_start_their_tail_at_s():
+    # with K = 1 some cells have max distance mx > K; they sum no increment,
+    # so their tail is the whole telescoping sum from s
+    cx = glued(product_graph([tree_ball(2, 2).graph] * 2), length=8)
+    w = median_witness(cx, geometric(0.5), K=1, core=range(100), tol=1.0)
+    assert w.tail_bound == 0.5 and w.reproduction_error == 0.5
+    cx = glued(product_graph([tree_ball(2, 2).graph] * 2), length=10)
+    w = median_witness(cx, geometric(0.5), K=2, core=range(100), tol=1.0)
+    assert w.tail_bound == 0.25 and w.reproduction_error == 0.25
+
+
+def reference_increment_tail(symbol, start, cap=4096):
+    """One tail by the pointwise loop: |step-2 increments| from `start` on,
+    until 8 consecutive terms fall below 1e-17 (1 + running total)."""
+    total, quiet = 0.0, 0
+    for j in range(cap):
+        term = abs(discrete_derivative(symbol, DerivativeSpec(2, 1), start + 2 * j))
+        total += term
+        quiet = quiet + 1 if term < 1e-17 * (1.0 + total) else 0
+        if quiet >= 8:
+            return total
+    raise TailBoundExceededError(f"increment tail from {start} did not resolve")
+
+
+@pytest.mark.parametrize("symbol", [
+    geometric(0.5), geometric(0.9), geometric(Fraction(1, 3)), geometric(-0.3 + 0.8j),
+    alternating_power(30.0), sphere(40),
+    from_table([0.8 ** n for n in range(200)], tail="ERROR"),   # the loop reads to 188
+    from_table([1.0, 0.5, 0.25, 0.125], tail="ZERO"),
+], ids=lambda s: s.label())
+def test_increment_tails_are_the_pointwise_loop(symbol):
+    starts = [0, 1, 2, 5, 17, 40, 41, 63]
+    tails = mlab._increment_tails(symbol, starts)
+    assert set(tails) == set(starts)
+    for start in starts:
+        # the same bits: the table adds in the loop's order
+        assert tails[start] == reference_increment_tail(symbol, start)
+
+
+def test_increment_tails_fail_where_the_loop_fails():
+    short = from_table([0.5 ** n for n in range(30)], tail="ERROR")
+    with pytest.raises(TailUndefinedError):
+        reference_increment_tail(short, 0)
+    with pytest.raises(TailUndefinedError):
+        mlab._increment_tails(short, [0])
+    with pytest.raises(TailBoundExceededError):
+        reference_increment_tail(power(0.5), 3)
+    with pytest.raises(TailBoundExceededError, match="from 3 did not resolve within 4096"):
+        mlab._increment_tails(power(0.5), [3])
 
 
 @pytest.mark.parametrize("side", ["p", "q"])

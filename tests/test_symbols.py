@@ -212,3 +212,72 @@ def test_derived_table_symbol():
         assert der.eval(n) == sym.discrete_derivative(base, sym.DerivativeSpec(2, 2), n)
     with pytest.raises(TailUndefinedError):
         der.eval(40)
+
+
+# one symbol per catalog id, exact and inexact, real and complex
+TABLE_SYMBOLS = [
+    sym.geometric(0.5),
+    sym.geometric(Fraction(2, 3)),
+    sym.geometric(0.3 + 0.4j),
+    sym.parity(),
+    sym.alternating_power(1.5),
+    sym.imaginary_power(0.5),
+    sym.power(0.5),
+    sym.power(-1.0),
+    sym.partial_sum(2),
+    sym.sphere(3),
+    sym.from_table([Fraction(k * k - 5, k + 1) for k in range(60)], tail="ERROR"),
+    sym.from_table([1, -2, 0.5, 3, 0.25], tail="ZERO"),
+]
+
+
+def test_table_symbols_cover_the_catalog():
+    assert {s.name for s in TABLE_SYMBOLS} == set(sym.CATALOG)
+
+
+@pytest.mark.parametrize("phi", TABLE_SYMBOLS, ids=lambda s: s.label())
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_derivative_table_is_the_pointwise_derivative(phi, step, order):
+    spec = sym.DerivativeSpec(step, order)
+    exact = sym.derivative_table(phi, spec, 40, exact=True)
+    numeric = sym.derivative_table(phi, spec, 40)
+    kind = float if phi.real else complex
+    assert exact.dtype == object and len(exact) == 40
+    assert numeric.dtype == kind
+    for n, (e, v) in enumerate(zip(exact.tolist(), numeric.tolist())):
+        want = sym.discrete_derivative(phi, spec, n)
+        # repr tells apart every float bit pattern, the sign of zero included
+        assert type(e) is type(want) and repr(e) == repr(want)
+        # unless exact, an exact value is rounded once, at the end
+        assert type(v) is kind and repr(v) == repr(kind(want))
+
+
+@pytest.mark.parametrize("values", [
+    [Fraction(k, 3) - Fraction(1, k + 1) for k in range(30)],
+    [0.5 ** k for k in range(30)],
+    [1j ** k / (k + 1) for k in range(30)],
+    [(-1) ** k * k for k in range(30)],
+], ids=["fractions", "floats", "complex", "ints"])
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_derivative_table_takes_sequences_and_callables(values, step, order):
+    spec = sym.DerivativeSpec(step, order)
+    count = len(values) - step * order
+    kind = complex if any(isinstance(v, complex) for v in values) else float
+    for phi in (values, tuple(values), values.__getitem__):
+        exact = sym.derivative_table(phi, spec, count, exact=True).tolist()
+        numeric = sym.derivative_table(phi, spec, count)
+        assert numeric.dtype == kind
+        for n in range(count):
+            want = sym.discrete_derivative(phi, spec, n)
+            assert type(exact[n]) is type(want) and repr(exact[n]) == repr(want)
+            assert repr(numeric[n].item()) == repr(kind(want))
+    with pytest.raises(TailUndefinedError):
+        sym.derivative_table(values, spec, count + 1)
+
+
+def test_derived_table_keeps_exact_values():
+    base = sym.geometric(Fraction(1, 3))
+    der = sym.derived_table(base, sym.DerivativeSpec(1, 2), 12)
+    assert all(der(n) == Fraction(4, 9) / 3 ** n and type(der(n)) is Fraction for n in range(12))
