@@ -768,8 +768,12 @@ def bonsall_test(a, mode: str, K: int) -> BonsallReport:
     """
     fn = _as_fn(a)
     if mode == "WEIGHTED":
-        vals = [fn(n) for n in range(K + 1)]
-        terms = [abs(vals[n - 1] - vals[n]) * n * math.log(n) for n in range(2, K + 1)]
+        # a(n-1) - a(n) for n = 2..K; hypot is Python's abs of a complex bit
+        # for bit, and math.log keeps each weight off numpy's vector path
+        diff = derivative_table(a, DerivativeSpec(1, 1), K)[1:]
+        n = np.arange(2, K + 1)
+        logs = np.array([math.log(v) for v in range(2, K + 1)])
+        terms = (np.hypot(diff.real, diff.imag) * n * logs).tolist()
         flag, sums = series_tail_flag(terms)
         return BonsallReport(flag, float(sum(terms)), flag, sums)
     if mode != "MONOTONE":

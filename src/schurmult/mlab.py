@@ -314,6 +314,8 @@ class _Blocks:
             self.mask = first[:, None] == first[None, :]   # the diagonal blocks
         self.m = self.kernel.shape[0]
         self.sizes = (n, n) if self.mask is None else (2 * n,)
+        self.degeneracies = (1,) * len(self.sizes)
+        self.full = self
 
     def halves(self, Z: np.ndarray):
         """The pair (M, W) whose blocks are stored in Z."""
@@ -345,6 +347,17 @@ class _Blocks:
         np.fill_diagonal(M, np.minimum(np.real(np.diagonal(M)), c))
         return self.join(M, self.kernel) if self.mask is None else M[None]
 
+    def structure(self, Z: np.ndarray) -> np.ndarray:
+        """Blocks with M cut to its real diagonal: the separator's shape."""
+        M, W = self.halves(Z)
+        return self.join(np.diag(np.real(np.diagonal(M))), W)
+
+    def norm(self, Z: np.ndarray) -> float:
+        return float(np.linalg.norm(Z))
+
+    def lift(self, Z: np.ndarray) -> np.ndarray:
+        return Z
+
     def rows(self, G: Sequence[np.ndarray]):
         """Factor rows (P, Q) of B from Gram factors of the stored blocks:
         [G+, G-] / sqrt 2 and [G+, -G-] / sqrt 2 on the rotated pair, the
@@ -357,6 +370,210 @@ class _Blocks:
     def eigh(self, Z: np.ndarray):
         self.eigh_calls += len(Z)
         return np.linalg.eigh(Z)
+
+
+def _tree_levels(graph: FiniteGraph):
+    """(depth of each vertex, parent of each vertex, child count per depth)
+    when the graph is a spherically homogeneous tree ball around a unique
+    centre, else None.  A tree has n - 1 edges; its centre is the midpoint of
+    a diametral path, unique when the diameter is even."""
+    n = graph.size
+    if graph.edge_count != n - 1:
+        return None
+    dist = graph.distances
+    a = int(dist[0].argmax())
+    b = int(dist[a].argmax())
+    radius, odd = divmod(int(dist[a, b]), 2)
+    if odd:
+        return None
+    centre = int(np.flatnonzero((dist[a] == radius) & (dist[b] == radius))[0])
+    depth = dist[centre].astype(np.intp)
+    children = np.fromiter(map(len, graph.neighbors), dtype=np.intp, count=n)
+    children[np.arange(n) != centre] -= 1
+    inner = depth < radius
+    branching = np.zeros(radius, dtype=np.intp)
+    branching[depth[inner]] = children[inner]
+    if not np.array_equal(children[inner], branching[depth[inner]]):
+        return None
+    parent = np.array([next((u for u in graph.neighbors[v] if depth[u] < depth[v]), -1)
+                       for v in range(n)], dtype=np.intp)
+    return depth, parent, branching
+
+
+def _helmert(q: int) -> np.ndarray:
+    """q - 1 orthonormal rows of length q, each summing to zero."""
+    rows = np.zeros((q - 1, q))
+    for j in range(1, q):
+        rows[j - 1, :j] = 1.0
+        rows[j - 1, j] = -j
+        rows[j - 1] /= np.sqrt(j * (j + 1.0))
+    return rows
+
+
+def _tree_basis(depth: np.ndarray, parent: np.ndarray, branching: np.ndarray):
+    """Orthonormal Q that block-diagonalises the root stabiliser's commutant.
+
+    Block 0 holds the normalised sphere indicators, one per level 0..R.
+    Block m + 1 holds, for each vertex v at depth m and each row u of a
+    sum-zero basis on v's q_m children, the vector u spread evenly over v's
+    descendants at each level m+1..R: it has R - m columns per copy and
+    N_m (q_m - 1) copies, N_m the vertices at depth m.  Returns Q, per
+    block with copies (first level, copies, column offset), and the sphere
+    sizes N_0..N_R."""
+    n = len(depth)
+    R = len(branching)
+    levels = [np.flatnonzero(depth == l) for l in range(R + 1)]
+    count = np.array([len(x) for x in levels])
+    anc = np.full((n, R + 1), -1, dtype=np.intp)
+    rank = np.zeros(n, dtype=np.intp)
+    pos = np.zeros(n, dtype=np.intp)
+    for l, X in enumerate(levels):
+        pos[X] = np.arange(len(X))
+        if l:
+            X = X[np.argsort(parent[X], kind="stable")]
+            anc[X, :l] = anc[parent[X], :l]
+            rank[X] = np.arange(len(X)) % branching[l - 1]
+        anc[X, l] = X
+    Q = np.zeros((n, n))
+    for l, X in enumerate(levels):
+        Q[X, l] = 1.0 / np.sqrt(count[l])
+    blocks = [(0, 1, 0)]
+    off = R + 1
+    for m, q in enumerate(branching):
+        if q < 2:
+            continue
+        size, copies = R - m, count[m] * (q - 1)
+        helm = _helmert(q)
+        for l in range(m + 1, R + 1):
+            X = levels[l]
+            first = pos[anc[X, m]] * (q - 1)
+            cols = off + (first[:, None] + np.arange(q - 1)) * size + (l - m - 1)
+            Q[X[:, None], cols] = helm[:, rank[anc[X, m + 1]]].T / np.sqrt(count[l] / count[m + 1])
+        blocks.append((m + 1, copies, off))
+        off += copies * size
+    return Q, blocks, count.astype(float)
+
+
+class _TreeBlocks:
+    """The rotated pair M + B, M - B in the root stabiliser's commutant.
+
+    A kernel on a spherically homogeneous tree ball that is fixed by every
+    automorphism fixing the centre keeps the whole iteration in that
+    commutant, so each iterate is Q diag(X_t (x) I_{d_t}) Q^T: one block X_t
+    per depth, repeated d_t times (its degeneracy).  Both halves are stored
+    as T blocks padded to (R+1) x (R+1), entry (l, l') of every block on
+    levels l, l'; zero padding is exact for the positive part.  Norms weight
+    each block by its degeneracy, so every step is the n x n step of the
+    rotated layout, and Gram factors and separators are lifted through Q to
+    be certified against the full B.
+    """
+
+    def __init__(self, B: np.ndarray, Q: np.ndarray, blocks, levels: np.ndarray):
+        n = B.shape[0]
+        self.B, self.n, self.full = B, n, _Blocks(B)
+        self.eigh_calls = 0
+        L = levels.size
+        self.bases = [(first, Q[:, off: off + copies * (L - first)].reshape(n, copies, L - first))
+                      for first, copies, off in blocks]
+        self.T = len(blocks)
+        first = np.array([b[0] for b in blocks])
+        copies = np.array([b[1] for b in blocks])
+        self.present = np.arange(L)[None, :] >= first[:, None]            # (T, L)
+        # the mean (M + W + M - W) / 2 and the padding cut in one product
+        self._half_mask = 0.5 * (self.present[:, :, None] & self.present[:, None, :])
+        self._sphere_weights = self.present * copies[:, None] / levels[None, :]  # d_t / |S_l|
+        self.sizes = tuple(int(L - f) for f in first) * 2
+        self.degeneracies = tuple(int(c) for c in copies) * 2
+        self._norm_weights = np.concatenate((copies, copies)).astype(float)
+        self.L = L
+        self.kernel = self.compress(B)
+
+    def compress(self, X: np.ndarray) -> np.ndarray:
+        """The T padded blocks of a matrix of the commutant (first copies)."""
+        out = np.zeros((self.T, self.L, self.L))
+        for t, (first, Qt) in enumerate(self.bases):
+            out[t, first:, first:] = Qt[:, 0].T @ X @ Qt[:, 0]
+        return out
+
+    def lift_side(self, X: np.ndarray) -> np.ndarray:
+        """Q diag(X_t (x) I_{d_t}) Q^T for one half's blocks."""
+        out = np.zeros((self.n, self.n))
+        for (first, Qt), Xt in zip(self.bases, X):
+            Y = Qt @ Xt[first:, first:]
+            out += Y.reshape(self.n, -1) @ Qt.reshape(self.n, -1).T
+        return out
+
+    def lift(self, Z: np.ndarray) -> np.ndarray:
+        """The full layout's (2, n, n) stack of the stored blocks."""
+        return np.stack((self.lift_side(Z[:self.T]), self.lift_side(Z[self.T:])))
+
+    def halves(self, Z: np.ndarray):
+        return (Z[:self.T] + Z[self.T:]) / 2, (Z[:self.T] - Z[self.T:]) / 2
+
+    def join(self, M: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return np.concatenate((M + W, M - W))
+
+    def completion(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return self.join(self.compress((X + Y) / 2), self.kernel)
+
+    def _diagonals(self, M: np.ndarray) -> np.ndarray:
+        """A writable (T, R+1) view of the block diagonals of a fresh stack."""
+        return M.reshape(self.T, self.L ** 2)[:, ::self.L + 1]
+
+    def _sphere_diagonal(self, d: np.ndarray) -> np.ndarray:
+        """The diagonal of the lifted M on each sphere, one value per level."""
+        return (self._sphere_weights * d).sum(axis=0)
+
+    def affine(self, Z: np.ndarray, c: float) -> np.ndarray:
+        """Nearest blocks with W = the kernel and diag M <= c on every sphere:
+        the level-l clamp subtracts the same amount at (l, l) of each block."""
+        M = Z[:self.T] + Z[self.T:]
+        M *= self._half_mask
+        d = self._diagonals(M)
+        d -= np.maximum(self._sphere_diagonal(d) - c, 0.0) * self.present
+        return self.join(M, self.kernel)
+
+    def structure(self, Z: np.ndarray) -> np.ndarray:
+        M, W = self.halves(Z)
+        D = np.zeros_like(M)
+        self._diagonals(D)[...] = self._sphere_diagonal(self._diagonals(M)) * self.present
+        return self.join(D, W)
+
+    def norm(self, Z: np.ndarray) -> float:
+        """Frobenius norm of the lifted blocks: each block counts d_t times."""
+        return float(np.sqrt(np.einsum("t,tij,tij->", self._norm_weights, Z, Z)))
+
+    def _lift_rows(self, G: Sequence[np.ndarray]) -> np.ndarray:
+        cols = [(Qt @ Gt[first:]).reshape(self.n, -1) for (first, Qt), Gt in zip(self.bases, G)]
+        return np.hstack(cols)
+
+    def rows(self, G: Sequence[np.ndarray]):
+        """Factor rows (P, Q) of B: block Gram factors lifted through Q,
+        then [G+, G-] / sqrt 2 and [G+, -G-] / sqrt 2 as in the rotated pair."""
+        Gp, Gm = self._lift_rows(G[:self.T]), self._lift_rows(G[self.T:])
+        return np.hstack((Gp, Gm)) / np.sqrt(2), np.hstack((Gp, -Gm)) / np.sqrt(2)
+
+    def eigh(self, Z: np.ndarray):
+        self.eigh_calls += len(Z)
+        return np.linalg.eigh(Z)
+
+
+def _layout(kernel, B: np.ndarray):
+    """The tree-ball layout when the kernel's graph is a spherically
+    homogeneous tree ball, B is real symmetric and B passes the check against
+    its block form; the rotated pair or the dilation otherwise."""
+    tree = None
+    if isinstance(kernel, KernelMatrix) and B.dtype == np.float64 \
+            and np.array_equal(B, B.T):
+        tree = _tree_levels(kernel.graph)
+    if tree is not None:
+        Q, blocks, levels = _tree_basis(*tree)
+        layout = _TreeBlocks(B, Q, blocks, levels)
+        orthogonal = np.abs(Q.T @ Q - np.eye(len(Q))).max() <= 1e-12
+        if orthogonal and np.abs(layout.lift_side(layout.kernel) - B).max() \
+                <= 1e-12 * np.abs(B).max():
+            return layout
+    return _Blocks(B)
 
 
 def _psd_part(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -396,32 +613,29 @@ def _dual_bound(drift: np.ndarray, blocks: _Blocks, rounds: int = 12):
     pairs nonnegatively with every feasible completion, which forces
     c >= 2 |Re tr(W* B)| / tr(S); on the stored blocks D + W and D - W this
     reads c >= |Re tr(W* kernel)| / tr(D).  The candidate is rounded onto
-    that structure and the cone, then shifted on the diagonal until its
-    computed smallest eigenvalue clears m eps ||S||, the rounding error of
-    that eigenvalue; the resulting ratio is valid regardless of where the
-    candidate came from.
+    that structure and the cone in the stored layout, lifted to the full
+    layout and rounded onto the structure there, then shifted on the
+    diagonal until its computed smallest eigenvalue clears m eps ||S||, the
+    rounding error of that eigenvalue; the resulting ratio is valid
+    regardless of where the candidate came from.
     """
-    norm = float(np.linalg.norm(drift))
+    norm = blocks.norm(drift)
     if norm < 1e-14:
         return 0.0, 0.0
     S = drift / norm
-
-    def structure(Z):
-        M, W = blocks.halves(Z)
-        return blocks.join(np.diag(np.real(np.diagonal(M))), W)
-
     for _ in range(rounds):
-        S = _psd_part(*blocks.eigh(structure(S)))
-    S = structure(S)
-    w = blocks.eigh(S)[0]
-    pad = blocks.m * _EPS * float(np.abs(w).max())
-    idx = np.arange(blocks.m)
+        S = _psd_part(*blocks.eigh(blocks.structure(S)))
+    full = blocks.full
+    S = full.structure(blocks.lift(S))
+    w = full.eigh(S)[0]
+    pad = full.m * _EPS * float(np.abs(w).max())
+    idx = np.arange(full.m)
     S[:, idx, idx] += max(0.0, pad - float(w.min()))
-    D, W = blocks.halves(S)
+    D, W = full.halves(S)
     den = float(np.real(np.trace(D)))
     if den <= 1e-14:
         return 0.0, pad
-    num = abs(float(np.real(np.sum(np.conj(W) * blocks.kernel))))
+    num = abs(float(np.real(np.sum(np.conj(W) * full.kernel))))
     return num / den, pad
 
 
@@ -447,7 +661,7 @@ def _feasibility(blocks: _Blocks, c: float, z: np.ndarray, cert_target: float):
         y = _psd_part(w, V)
         refl = blocks.affine(2 * y - z, c)
         drift = y - refl
-        r = float(np.linalg.norm(drift))
+        r = blocks.norm(drift)
         z = z + refl - y
         if it % _SNAP_EVERY == 0 or r <= _FEAS_EPS or it == _INNER_CAP:
             snap = _snapshot(w, V, blocks)
@@ -551,7 +765,7 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000) -> CbNormResu
     hi = min(row, col)
 
     # start from the exact completion at the coarse upper level
-    blocks = _Blocks(B)
+    blocks = _layout(kernel, B)
     eye = np.eye(n, dtype=dtype)
     if col <= row:
         z = blocks.completion(hi * eye, (B.conj().T @ B) / hi)
@@ -605,9 +819,12 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000) -> CbNormResu
         else:
             c = (lo_eff + hi_eff) / 2
 
-    witness = _assemble_witness(best, B, {
-        "level": best_level, "blocks": blocks.sizes,
-        "eigh_calls": blocks.eigh_calls, "dual_pad": dual_pad})
+    detail = {"level": best_level, "blocks": blocks.sizes,
+              "degeneracies": blocks.degeneracies,
+              "eigh_calls": blocks.eigh_calls, "dual_pad": dual_pad}
+    if blocks.full is not blocks:
+        detail["lifted_eigh_calls"] = blocks.full.eigh_calls
+    witness = _assemble_witness(best, B, detail)
     upper = witness.certified
     lower = min(cert_lower, upper)
     return CbNormResult(lower, upper, upper - lower, total, tuple(trace), witness)
@@ -764,7 +981,16 @@ def tree_product_witness(balls: Sequence[TreeBall], phi_tilde, cutoff: int,
 # median complex witnesses
 
 
-def _increment_tails(symbol: RadialSymbol, starts, cap: int = 4096) -> dict:
+_TAIL_CAP = 4096
+
+
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): the relative error bound of k roundings of unit u."""
+    ku = k * _EPS / 2
+    return ku / (1 - ku)
+
+
+def _increment_tails(symbol: RadialSymbol, starts, cap: int = _TAIL_CAP) -> dict:
     """Sum of |step-2 increments| from each start on, stopped once 8
     consecutive terms fall below 1e-17 (1 + running total) and failing after
     `cap` terms.  Every sum reads one table of increments, doubled while a
@@ -800,6 +1026,35 @@ def _increment_tails(symbol: RadialSymbol, starts, cap: int = 4096) -> dict:
 
 
 _MEMBERSHIP_SIZES = (64, 128, 256, 512)
+
+
+def _shared_polytope_sum(A: np.ndarray, H: np.ndarray, chunk: int = 1 << 18) -> np.ndarray:
+    """sum over g, k1, k2 of |A[x, k1, g]| H[k2, k1] A[y, k2, g], for all x, y.
+
+    A is sparse, so the sum runs over the pairs (i, j) of its nonzeros that
+    lie in one polytope g: grouped by g, each nonzero i meets every j of its
+    group, about `chunk` pairs at a time.  Returns the m x m table, m = len(A)."""
+    m = len(A)
+    g, x, k = np.nonzero(A.transpose(2, 0, 1))    # grouped by polytope
+    sign = A[x, k, g].astype(float)
+    size = np.bincount(g)[g]                      # the group of each nonzero
+    group_start = np.searchsorted(g, g)
+    ends = np.cumsum(size)                        # pairs through each nonzero
+    total = int(ends[-1]) if len(g) else 0
+    bounds = np.unique(np.concatenate(
+        ([0], np.searchsorted(ends, np.arange(chunk, total, chunk)), [len(g)])))
+    out = np.zeros(m * m, dtype=np.result_type(H, float))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        i = np.repeat(np.arange(a, b), size[a:b])
+        # the pairs of nonzero i start at ends[i] - size[i]
+        firsts = ends[a:b] - size[a:b] - (ends[a] - size[a])
+        j = group_start[i] + np.arange(len(i)) - np.repeat(firsts, size[a:b])
+        weight = H[k[j], k[i]] * (np.abs(sign[i]) * sign[j])
+        cell = x[i] * m + x[j]
+        out += np.bincount(cell, weight.real, minlength=m * m)
+        if np.iscomplexobj(weight):
+            out += 1j * np.bincount(cell, weight.imag, minlength=m * m)
+    return out.reshape(m, m)
 
 
 def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
@@ -850,25 +1105,36 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
     width = int(l1.max()) + 1
     cells = [divmod(int(c), width) for c in np.unique((l1 + l2) * width + np.maximum(l1, l2))]
     starts = [s + 2 * max(K - mx, 0) for s, mx in cells]   # where each cell's tail begins
-    tails = _increment_tails(symbol, starts)
+    tails = _increment_tails(symbol, starts, _TAIL_CAP)
     max_err = 0.0
     max_tail = 0.0
+    tail_pad = 0.0
     values = np.zeros((2 * l1.max() + 1, l1.max() + 1), dtype=complex)   # by (s, max)
     for (s, mx), start in zip(cells, starts):
-        value = complex(hv[s: start: 2].sum()) if start > s else 0.0
+        terms = hv[s: start: 2]
+        value = complex(terms.sum()) if start > s else 0.0
         target = centered(s)
         tail = tails[start]
         err = abs(value - target)
-        if err > tail + 1e-9 * (1.0 + abs(target)):
+        # rounding of the float sums: the value adds len(terms) rounded
+        # differences, the target takes two operations on phi(s) and the
+        # parity limits, err subtracts once, and the tail adds at most
+        # _TAIL_CAP rounded differences
+        pad = (_gamma(len(terms) + 3) * (float(np.abs(terms).sum()) + abs(target)
+                                          + 2 * (abs(cp) + abs(cm)))
+               + _gamma(_TAIL_CAP + 1) * tail)
+        if err > tail + pad + 1e-9 * (1.0 + abs(target)):
             raise StructureViolationError(
                 f"cell (s={s}, max={mx}): error {err:g} above tail {tail:g}"
             )
         values[s, mx] = value
         max_err = max(max_err, float(err))
         max_tail = max(max_tail, float(tail))
-    if max_tail > tol:
+        tail_pad = max(tail_pad, pad)
+    tail_bound = max_tail + tail_pad
+    if tail_bound > tol:
         raise TailBoundExceededError(
-            f"tail bound {max_tail:g} exceeds the requested tolerance {tol:g}"
+            f"tail bound {tail_bound:g} exceeds the requested tolerance {tol:g}"
         )
 
     # the alternating vectors as one int8 table A[i, k, g] over the polytopes
@@ -877,9 +1143,10 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
     used = inside.any(axis=(0, 1))
     A = inside[:, :, used] * np.where(level[used] % 2, -1, 1).astype(np.int8)
 
-    # on every pair, the diagonal sum must be sum_k1,k2 H[k2, k1] <|A[x, k1]|, A[y, k2]>
-    direct = sum(np.abs(A[:, k1]) @ sum(H[j, k1] * A[:, j] for j in range(K)).T
-                 for k1 in range(K))
+    # on every pair, the diagonal sum must be sum_k1,k2 H[k2, k1] <|A[x, k1]|, A[y, k2]>;
+    # only the entries (x, k1), (y, k2) of one polytope g meet, so it is one
+    # weighted count over the pairs of nonzeros that share a polytope
+    direct = _shared_polytope_sum(A, H)
     want = values[l1 + l2, np.maximum(l1, l2)]
     bad = np.argwhere(np.abs(direct - want) > 1e-10 * (1.0 + np.abs(want)))
     if bad.size:
@@ -908,9 +1175,10 @@ def median_witness(cx: MedianComplex, symbol: RadialSymbol, K: int = 16,
         sup_q=sup_q,
         certified=sup_p * sup_q,
         reproduction_error=max_err,
-        tail_bound=max_tail,
+        tail_bound=tail_bound,
         detail={
             "kind": "median",
+            "tail_pad": tail_pad,
             "K": K,
             "core": len(core),
             "cells": len(cells),

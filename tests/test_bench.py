@@ -493,8 +493,11 @@ def test_cli_sdp_json_records_solver_detail(tmp_path):
     res = invoke("sdp", "--graph", "T3ball(1)", "--symbol", "GEOM",
                  "--params", "r=0.5", "--tol", "1e-3")
     detail = json.loads(res.output)["witness"]["detail"]
-    assert detail["blocks"] == [4, 4]
-    assert detail["eigh_calls"] > 0
+    # the tree-ball layout: sphere block (2 x 2) and one depth-0 block (1 x 1,
+    # two copies), for M + B and M - B
+    assert detail["blocks"] == [2, 1, 2, 1]
+    assert detail["degeneracies"] == [1, 2, 1, 2]
+    assert detail["eigh_calls"] > 0 and detail["lifted_eigh_calls"] >= 0
     assert detail["dual_pad"] >= 0.0 and detail["residual_allowance"] >= 0.0
     # the solver detail stays out of the CSV
     result = run_manifest(small_manifest(

@@ -597,6 +597,29 @@ def test_bonsall_weighted_alternating():
     assert rep.satisfied and rep.statistic == 0.0
 
 
+def reference_bonsall_weighted_terms(a, K):
+    """WEIGHTED's terms by the pointwise loop."""
+    fn = hankel._as_fn(a)
+    vals = [fn(n) for n in range(K + 1)]
+    return [abs(vals[n - 1] - vals[n]) * n * math.log(n) for n in range(2, K + 1)]
+
+
+@pytest.mark.parametrize("a", [
+    alternating_power(2.5), geometric(0.7), geometric(-0.3 + 0.8j), imaginary_power(1.0),
+    power(0.5), parity(), [0.0] * 301, [(-1) ** n * n for n in range(301)],
+    [complex(math.cos(n), math.sin(n)) / (1 + n) for n in range(301)],
+], ids=lambda a: a.label() if hasattr(a, "label") else type(a[1]).__name__)
+@pytest.mark.parametrize("K", [0, 1, 2, 17, 300])
+def test_bonsall_weighted_is_the_pointwise_loop(a, K):
+    terms = reference_bonsall_weighted_terms(a, K)
+    flag, sums = hankel.series_tail_flag(terms)
+    rep = bonsall_test(a, "WEIGHTED", K)
+    # the same bits: table differences, hypot for the modulus, math.log
+    assert rep.statistic == float(sum(terms))
+    assert rep.satisfied == flag and rep.converged == flag
+    assert rep.window_sums == sums
+
+
 # ---------------------------------------------------------------- reports
 
 

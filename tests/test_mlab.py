@@ -52,6 +52,7 @@ from schurmult.symbols import (
     from_function,
     from_table,
     geometric,
+    make_symbol,
     parity,
     power,
     sphere,
@@ -264,9 +265,14 @@ def test_cb_norm_hermitian_blocks_agree_with_dilation(name):
 
 
 def test_cb_norm_sphere_on_tree_ball_meets_doubled_bracket():
-    # [1.314454, 1.314471] is the bracket of the one 2n x 2n iteration
-    res = cb_norm_sdp(radial_kernel(tree_ball(2, 3).graph, sphere(1)), tol=1e-4)
+    # [1.314454, 1.314471] is the bracket of the one 2n x 2n iteration; the
+    # bare matrix runs as the rotated pair, the kernel in the tree-ball layout
+    kernel = radial_kernel(tree_ball(2, 3).graph, sphere(1))
+    res = cb_norm_sdp(kernel.matrix, tol=1e-4)
     assert res.witness.detail["blocks"] == (22, 22)
+    assert res.lower <= 1.314471 and 1.314454 <= res.upper
+    res = cb_norm_sdp(kernel, tol=1e-4)
+    assert res.witness.detail["blocks"] == (4, 3, 2, 1) * 2
     assert res.lower <= 1.314471 and 1.314454 <= res.upper
 
 
@@ -306,6 +312,92 @@ def test_cb_norm_dual_pad_scales_with_the_separator():
     pad = res.witness.detail["dual_pad"]
     assert 0.0 < pad <= 2 * np.finfo(float).eps * 2.0
     assert res.lower == pytest.approx(math.sqrt(2), abs=1e-6)
+
+
+# the tree-ball kernels of the benchmark's two SDP parts and its sandwich rows
+TREE_BALL_SDP_KERNELS = [
+    ("SPHERE", 1, 2, 3), ("SPHERE", 2, 2, 3), ("SPHERE", 1, 3, 3),
+    ("POWER", 0.5, 2, 3), ("ALT_POWER", 1.5, 3, 2), ("GEOM", 0.5, 2, 3),
+    ("GEOM", 0.5, 2, 1), ("GEOM", 0.5, 2, 2),
+    ("ALT_POWER", 1.5, 2, 1), ("ALT_POWER", 1.5, 2, 2), ("ALT_POWER", 1.5, 2, 3),
+]
+
+
+@pytest.mark.parametrize("name, param, branching, radius", TREE_BALL_SDP_KERNELS,
+                         ids=lambda v: str(v))
+def test_cb_norm_tree_ball_layout_meets_the_full_layout(name, param, branching, radius):
+    kernel = radial_kernel(tree_ball(branching, radius).graph, make_symbol(name, param))
+    reduced = cb_norm_sdp(kernel, tol=1e-4)
+    full = cb_norm_sdp(kernel.matrix, tol=1e-4)
+    n = kernel.size
+    assert reduced.witness.detail["blocks"] == tuple(range(radius + 1, 0, -1)) * 2
+    assert full.witness.detail["blocks"] == (n, n)
+    assert reduced.lower <= full.upper and full.lower <= reduced.upper
+    assert reduced.gap <= 1e-4
+    # both ends are certified in the full space
+    w = reduced.witness
+    assert np.abs(w.p_rows @ w.q_rows.conj().T - kernel.matrix).max() <= 1e-8
+    assert w.detail["lifted_eigh_calls"] >= 0
+    assert w.detail["eigh_calls"] >= reduced.iterations * 2 * (radius + 1)
+
+
+@pytest.mark.parametrize("branching, radius, degeneracies", [
+    (2, 1, (1, 2)), (2, 2, (1, 2, 3)), (2, 3, (1, 2, 3, 6)), (2, 4, (1, 2, 3, 6, 12)),
+    (3, 2, (1, 3, 8)), (3, 3, (1, 3, 8, 24)),
+])
+def test_tree_ball_basis_blocks_and_degeneracies(branching, radius, degeneracies):
+    ball = tree_ball(branching, radius)
+    n = ball.graph.size
+    Q, blocks, levels = mlab._tree_basis(*mlab._tree_levels(ball.graph))
+    assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-13
+    kernel = radial_kernel(ball.graph, geometric(0.5))
+    layout = mlab._layout(kernel, kernel.matrix)
+    assert isinstance(layout, mlab._TreeBlocks)
+    sizes = tuple(range(radius + 1, 0, -1))
+    assert layout.sizes == sizes * 2
+    assert layout.degeneracies == degeneracies * 2
+    # the blocks, each repeated by its degeneracy, fill the n dimensions
+    assert sum(s * d for s, d in zip(sizes, degeneracies)) == n
+    assert levels.sum() == n
+    assert np.abs(layout.lift_side(layout.kernel) - layout.B).max() <= 1e-12
+
+
+def test_tree_ball_layout_falls_back_to_the_full_layouts():
+    rng = np.random.default_rng(2)
+    ball = tree_ball(2, 2)
+    product = product_graph([tree_ball(2, 1).graph, tree_ball(2, 2).graph])
+    lopsided, _ = attach_ray(ball.graph, 0, 3)     # a tree, not spherically homogeneous
+    path, _ = attach_ray(graph_from_edges(["a", "b"], [(0, 1)]), 0, 2)   # two centres
+    noise = rng.normal(size=(ball.graph.size,) * 2)
+    for kernel, blocks in [
+        (radial_kernel(product, sphere(1)), (product.size,) * 2),
+        (radial_kernel(lopsided, sphere(1)), (lopsided.size,) * 2),
+        (radial_kernel(path, sphere(1)), (path.size,) * 2),
+        (radial_kernel(ball.graph, make_symbol("I_POWER", 1.0)), (2 * ball.graph.size,)),
+        # real symmetric on a tree ball, but not fixed by the root stabiliser
+        (raw_kernel(ball.graph, noise + noise.T), (ball.graph.size,) * 2),
+    ]:
+        res = cb_norm_sdp(kernel, tol=1e-3)
+        assert res.witness.detail["blocks"] == blocks
+        assert "lifted_eigh_calls" not in res.witness.detail
+
+
+def test_tree_ball_layout_skips_depths_with_one_child():
+    # a path of five vertices around its middle: one child below depth 0
+    g = graph_from_edges("abcde", [(0, 1), (1, 2), (2, 3), (3, 4)])
+    kernel = radial_kernel(g, sphere(1))
+    res = cb_norm_sdp(kernel, tol=1e-5)
+    assert res.witness.detail["blocks"] == (3, 2, 3, 2)
+    assert res.witness.detail["degeneracies"] == (1, 1, 1, 1)
+    full = cb_norm_sdp(kernel.matrix, tol=1e-5)
+    assert res.lower <= full.upper and full.lower <= res.upper
+
+
+def test_cb_norm_tree_ball_layout_reaches_radius_six():
+    res = cb_norm_sdp(radial_kernel(tree_ball(2, 6).graph, sphere(1)), tol=1e-4)
+    assert res.witness.detail["blocks"] == tuple(range(7, 0, -1)) * 2
+    assert res.gap <= 1e-4
+    assert res.witness.reproduction_error <= 1e-8
 
 
 # ---------------------------------------------------------------- sections
@@ -469,7 +561,8 @@ def test_median_witness_finite_symbol_zero_tail():
     cx = glued(tree_ball(2, 2).graph, length=28)
     fin = from_table([1.0, 0.5, 0.25, 0.125, 0.0625], tail="ZERO", name="FIN5")
     w = median_witness(cx, fin, K=14)
-    assert w.tail_bound == 0.0
+    # no truncation tail: the bound is the rounding pad alone
+    assert w.tail_bound == w.detail["tail_pad"] <= 1e-14
     assert w.reproduction_error <= 1e-10
 
 
@@ -478,10 +571,42 @@ def test_median_witness_cells_past_the_section_start_their_tail_at_s():
     # so their tail is the whole telescoping sum from s
     cx = glued(product_graph([tree_ball(2, 2).graph] * 2), length=8)
     w = median_witness(cx, geometric(0.5), K=1, core=range(100), tol=1.0)
-    assert w.tail_bound == 0.5 and w.reproduction_error == 0.5
+    assert w.tail_bound == 0.5 + w.detail["tail_pad"] and w.reproduction_error == 0.5
     cx = glued(product_graph([tree_ball(2, 2).graph] * 2), length=10)
     w = median_witness(cx, geometric(0.5), K=2, core=range(100), tol=1.0)
-    assert w.tail_bound == 0.25 and w.reproduction_error == 0.25
+    assert w.tail_bound == 0.25 + w.detail["tail_pad"] and w.reproduction_error == 0.25
+
+
+def test_median_witness_tail_covers_its_rounding():
+    # the truncated tail sum lands 5.9e-23 under the error 2^-29 here; the
+    # rounding pad lifts the bound over it, with no outside allowance
+    cube = product_graph([tree_ball(2, 1).graph] * 3)
+    w = median_witness(glued(cube, length=34), geometric(0.5), K=16)
+    assert w.reproduction_error == 2.0 ** -29
+    assert w.reproduction_error <= w.tail_bound
+    assert 0.0 < w.detail["tail_pad"] <= 1e-14
+
+
+def reference_shared_polytope_sum(A, H):
+    """The vector identity's left side by the K^2 generator sums."""
+    K = A.shape[1]
+    return sum(np.abs(A[:, k1]) @ sum(H[j, k1] * A[:, j] for j in range(K)).T
+               for k1 in range(K))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 18])
+def test_shared_polytope_sum_is_the_generator_sum(chunk):
+    rng = np.random.default_rng(9)
+    m, K, g = 13, 5, 40
+    A = (rng.random((m, K, g)) < 0.1) * rng.choice(np.array([-1, 1], dtype=np.int8),
+                                                   size=(m, K, g))
+    A = A.astype(np.int8)
+    for H in (rng.normal(size=(K, K)), rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))):
+        got = mlab._shared_polytope_sum(A, H, chunk)
+        want = reference_shared_polytope_sum(A, H)
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+    assert not mlab._shared_polytope_sum(np.zeros((3, 2, 4), np.int8), H).any()
 
 
 def reference_increment_tail(symbol, start, cap=4096):
