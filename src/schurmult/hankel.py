@@ -195,6 +195,7 @@ def class_spec(symbol: RadialSymbol, level: int, tag: str) -> HankelSpec:
 _UNDO_QUARTER_TURNS = np.array([1, -1j, -1, 1j])
 # ||Im R||_F over ||Re R||_F at or below which a phase-reduced section counts as real
 _PHASE_TOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _section_norm(section: np.ndarray) -> tuple:
@@ -265,12 +266,17 @@ class TruncatedMatrix:
         return _trace_norm(self.as_numeric())
 
 
+def _power_sum_values(weight: WeightScheme, vals: np.ndarray) -> np.ndarray:
+    """The weighted anti-diagonal values (1 + k)^s vals[k] of a POWER_SUM section."""
+    return (1.0 + np.arange(len(vals))) ** weight.params[0] * vals
+
+
 def _weighted_section(weight: WeightScheme, vals: np.ndarray, K: int) -> np.ndarray:
     """entry(i, j) = weight(i, j) * vals[i + j] on the K x K section, from the
     2K - 1 values.  A POWER_SUM weight depends on i + j alone, so its section
     is a read-only Hankel view of one weighted vector."""
     if weight.variant == "POWER_SUM":
-        return sliding_window_view((1.0 + np.arange(2 * K - 1)) ** weight.params[0] * vals, K)
+        return sliding_window_view(_power_sum_values(weight, vals[: 2 * K - 1]), K)
     idx = np.arange(K)
     if weight.variant == "POWER_SPLIT":
         a, b = weight.params
@@ -630,8 +636,8 @@ _GROWTH_BOUND = 10.0
 _DIAG_THRESHOLD = 0.85
 
 
-# (weight, K, dtype, digest of the derivative values) -> (norm, path, allowance)
-# of a Hankel section, while a trace_norm_memo block is open
+# (weight, block size, dtype, digest of the derivative values) -> (norm, path,
+# allowance) of a Hankel section's cut block, while a trace_norm_memo block is open
 _MEMO: contextvars.ContextVar = contextvars.ContextVar("trace_norm_memo", default=None)
 
 
@@ -648,6 +654,31 @@ def trace_norm_memo():
         yield
     finally:
         _MEMO.reset(token)
+
+
+def _tail_cut(h: np.ndarray, K: int) -> tuple:
+    """(block size, allowance) of the K x K Hankel section with anti-diagonal
+    values h[:2K - 1].
+
+    Value k fills min(k + 1, 2K - 1 - k) entries.  The cut L is the smallest
+    L with sum_{k >= L} |h_k| min(k + 1, 2K - 1 - k) <= eps ||S_K||_F.  Every
+    entry outside the leading L x L block has i + j >= L, and a trace norm is
+    at most the sum of the entries' moduli, so the block's trace norm is
+    within that sum, the allowance, of the section's.  A cut at or past K
+    keeps the whole section, with allowance 0.0.  O(K), no K x K temporary.
+    """
+    a = np.abs(h[: 2 * K - 1])
+    k = np.arange(2 * K - 1)
+    count = np.minimum(k + 1, 2 * K - 1 - k)
+    top = float(a.max())
+    if top == 0.0:
+        return 1, 0.0
+    frob = top * math.sqrt(float(np.dot((a / top) ** 2, count)))
+    tails = np.cumsum((a * count)[::-1])[::-1]
+    cut = int(np.count_nonzero(tails > _EPS * frob))
+    if cut >= K:
+        return K, 0.0
+    return cut, float(tails[cut])
 
 
 def _memo_norm(memo, key, section: np.ndarray) -> tuple:
@@ -669,9 +700,14 @@ def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float) -> S1Estimate
 
     Each section's norm takes one of four paths, recorded per size in
     `detail["paths"]`: zero, symmetric, phase (with its allowance in
-    `detail["phase_allowance"]`) or svd; see `_section_norm`.  Inside a
-    `trace_norm_memo` block, a HankelSpec's sections already seen there are
-    not computed again.
+    `detail["phase_allowance"]`) or svd; see `_section_norm`.  A POWER_SUM
+    section (every `class_spec`) is solved on its leading block past which
+    the values are negligible, `_tail_cut`; the block size and its allowance
+    are recorded per size in `detail["cuts"]` and `detail["cut_allowance"]`,
+    and sizes that cut to one block solve it once.  Inside a
+    `trace_norm_memo` block, a HankelSpec's blocks already seen there are
+    not computed again.  The diagonal certificate reads the largest section
+    uncut.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -681,13 +717,22 @@ def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float) -> S1Estimate
         spec = spec_or_builder
         vals = derivative_table(spec.symbol, spec.derivative, 2 * sizes[-1] - 1)
         big = _weighted_section(spec.weight, vals, sizes[-1])
-        sections = [big[:K, :K] for K in sizes]
+        if spec.weight.variant == "POWER_SUM":
+            h = _power_sum_values(spec.weight, vals)
+            cuts = [_tail_cut(h, K) for K in sizes]
+        else:
+            cuts = [(K, 0.0) for K in sizes]
+        sections = [big[:L, :L] for L, _ in cuts]
         memo = _MEMO.get()
-        keys = [(spec.weight, K, vals.dtype.str,
-                 hashlib.blake2b(vals[: 2 * K - 1].tobytes(), digest_size=16).digest())
-                for K in sizes]
+        if memo is None:
+            memo = {}
+        keys = [(spec.weight, L, vals.dtype.str,
+                 hashlib.blake2b(vals[: 2 * L - 1].tobytes(), digest_size=16).digest())
+                for L, _ in cuts]
     elif callable(spec_or_builder):
         sections = [spec_or_builder(K).as_numeric() for K in sizes]
+        big = sections[-1]
+        cuts = [(K, 0.0) for K in sizes]
         keys = [None] * len(sizes)
     else:
         raise TypeError("expected a HankelSpec or a size -> TruncatedMatrix builder")
@@ -700,7 +745,7 @@ def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float) -> S1Estimate
             )
     diffs = [b - a for a, b in zip(values, values[1:])]
     gap = diffs[-1]
-    cert, diag_ratio = _diag_certificate(sections[-1], _DIAG_THRESHOLD)
+    cert, diag_ratio = _diag_certificate(big, _DIAG_THRESHOLD)
     shrinking = len(diffs) < 2 or diffs[-1] <= diffs[-2] + 1e-12
     growing = len(diffs) >= 2 and diffs[-1] >= diffs[-2] - 1e-12
     grown = values[-1] > _GROWTH_BOUND * max(values[0], 1e-300)
@@ -726,6 +771,8 @@ def s1_estimate(spec_or_builder, sizes: Sequence[int], tol: float) -> S1Estimate
         "growth_trigger": grown and growing,
         "paths": paths,
         "phase_allowance": allowances,
+        "cuts": tuple(L for L, _ in cuts),
+        "cut_allowance": tuple(a for _, a in cuts),
     }
     return S1Estimate(tuple(sizes), values, gap, verdict, extrapolated, detail)
 

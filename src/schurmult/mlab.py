@@ -285,6 +285,14 @@ _INNER_CAP = 2000         # iterations per level before it counts as a cap
 _STALL_WINDOW = 40
 _STALL_MIN_ITERS = 120
 _EPS = float(np.finfo(np.float64).eps)
+_ASCENT_ROUNDS = 15       # rounds of the rank-one ascent, two SVDs each
+_ASCENT_RTOL = 1e-10      # relative gain of a round under which the ascent stops
+
+
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): the relative error bound of k roundings of unit u."""
+    ku = k * _EPS / 2
+    return ku / (1 - ku)
 
 
 class _Blocks:
@@ -731,6 +739,45 @@ def _assemble_witness(snap, B: np.ndarray, detail: dict) -> FactorizationWitness
     )
 
 
+def _rank_one_ascent(B: np.ndarray):
+    """Certified floor ||D_xi B D_eta||_1 under the multiplier norm, from unit
+    xi, eta >= 0, with its rounding pad and the number of SVDs taken.
+
+    B o (xi eta*) = D_xi B D_eta, and the rank-one xi eta* has trace norm 1,
+    so the value is a lower bound (Bennett, Duke Math. J. 1977), and the sup
+    over unit vectors is the norm.  With UV* the polar part of D_xi B D_eta
+    and G = Re(conj(UV*) o B), the value is xi^T G eta, so xi <- |G eta| / ||.||
+    cannot lower it, and likewise eta <- |G^T xi| / ||.||; G is recomputed
+    from an SVD before each half-step.  The rounds stop once one gains less
+    than 1e-10 relative.  The pad, gamma(2n^2 + 10n + 16) times the value,
+    covers the SVD's backward error (n eps ||.||_2 on each of n singular
+    values), the roundings of the product D_xi B D_eta and of the sum, and
+    the norms of xi and eta, each within (n + 2) u of 1.
+    """
+    n = B.shape[0]
+
+    def value(xi, eta):
+        U, s, Vh = np.linalg.svd(xi[:, None] * B * eta)
+        return float(s.sum()), np.real(np.conj(U @ Vh) * B)
+
+    xi = eta = np.full(n, 1.0 / np.sqrt(n))
+    best, G = value(xi, eta)
+    svds = 1
+    for _ in range(_ASCENT_ROUNDS):
+        start = best
+        g = np.abs(G @ eta)
+        xi = g / np.linalg.norm(g)
+        v, G = value(xi, eta)
+        g = np.abs(G.T @ xi)
+        eta = g / np.linalg.norm(g)
+        w, G = value(xi, eta)
+        svds += 2
+        best = max(best, v, w)
+        if best - start <= _ASCENT_RTOL * best:
+            break
+    return best, _gamma(2 * n * n + 10 * n + 16) * best, svds
+
+
 def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000) -> CbNormResult:
     """Schur multiplier norm of a finite kernel, bracketed to width tol.
 
@@ -741,12 +788,15 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000) -> CbNormResu
     positive semidefinite exactly when M + B and M - B are, so the iteration
     runs on two n x n blocks; any other B runs as its Hermitian dilation
     [[0, B], [B*, 0]], whose two 2n x 2n blocks are mirror images, so one
-    eigendecomposition per step suffices there too.  Feasibility is decided
-    by a splitting iteration, and the reported upper bound is the best
-    corrected certificate seen anywhere, so it stays valid even when a
-    verdict near the threshold is wrong.  The witness detail records the
-    block sizes, the eigendecomposition count and the rounding allowances
-    of both ends of the bracket.
+    eigendecomposition per step suffices there too.  The bisection starts
+    from the larger of the largest entry and the padded rank-one ascent
+    (`_rank_one_ascent`), so it never tries a level below either.
+    Feasibility is decided by a splitting iteration, and the reported upper
+    bound is the best corrected certificate seen anywhere, so it stays
+    valid even when a verdict near the threshold is wrong.  The witness
+    detail records the block sizes, the eigendecomposition count, the
+    rounding allowances of both ends of the bracket and which certificate
+    set the lower end.
     """
     B = kernel.matrix if isinstance(kernel, KernelMatrix) else np.asarray(kernel)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -759,7 +809,11 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000) -> CbNormResu
         zero = FactorizationWitness(0, 0.0, 0.0, 0.0, 0.0, 0.0, {"level": 0.0})
         return CbNormResult(0.0, 0.0, 0.0, 0, (), zero)
 
-    lo = scale  # any single entry embeds as a one-point restriction
+    # any single entry embeds as a one-point restriction; the ascent's
+    # rank-one restriction is certified once its pad is taken off
+    ascent, ascent_pad, ascent_svds = _rank_one_ascent(B)
+    lo = max(scale, ascent - ascent_pad)
+    lower_by = "ascent" if lo > scale else "entry"
     row = _max_norm(B, 1)
     col = _max_norm(B, 0)
     hi = min(row, col)
@@ -776,7 +830,7 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000) -> CbNormResu
     trace = []
     best = None
     best_level = hi
-    cert_lower = lo    # certified: single-entry restriction, then dual floors
+    cert_lower = lo    # certified: entry or ascent, then dual floors
     dual_pad = 0.0
     c = hi
     stuck = 0
@@ -790,6 +844,7 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000) -> CbNormResu
             best, best_level = snap, c
         if dual[0] > cert_lower:
             cert_lower, dual_pad = dual
+            lower_by = "dual"
         if verdict is False:
             lo = max(lo, c)
             stuck = 0
@@ -821,7 +876,9 @@ def cb_norm_sdp(kernel, tol: float = 1e-6, max_iter: int = 60_000) -> CbNormResu
 
     detail = {"level": best_level, "blocks": blocks.sizes,
               "degeneracies": blocks.degeneracies,
-              "eigh_calls": blocks.eigh_calls, "dual_pad": dual_pad}
+              "eigh_calls": blocks.eigh_calls, "dual_pad": dual_pad,
+              "lower_certificate": lower_by, "ascent_pad": ascent_pad,
+              "ascent_svds": ascent_svds}
     if blocks.full is not blocks:
         detail["lifted_eigh_calls"] = blocks.full.eigh_calls
     witness = _assemble_witness(best, B, detail)
@@ -982,12 +1039,6 @@ def tree_product_witness(balls: Sequence[TreeBall], phi_tilde, cutoff: int,
 
 
 _TAIL_CAP = 4096
-
-
-def _gamma(k: int) -> float:
-    """k u / (1 - k u): the relative error bound of k roundings of unit u."""
-    ku = k * _EPS / 2
-    return ku / (1 - ku)
 
 
 def _increment_tails(symbol: RadialSymbol, starts, cap: int = _TAIL_CAP) -> dict:

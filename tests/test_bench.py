@@ -337,10 +337,23 @@ def solver_calls(monkeypatch):
 def test_inclusions_compute_each_section_once_per_run(solver_calls):
     # 36 rows of 4 sections took 144 eigensolver or SVD calls.  PARITY's 16
     # step-2 sections (A and C, levels 1 and 2) are zero and take none; the
-    # level-1 C sections of the other five symbols are their A sections
-    first = run_manifest(built_in_manifest("inclusions"))
+    # level-1 C sections of the other five symbols are their A sections.
+    # Sizes of one row that cut to one block solve it once: GEOM's five
+    # distinct rows each cut to one block at all four sizes
+    manifest = built_in_manifest("inclusions")
+    repeats = 0
+    for row in manifest.grid:
+        if (row["level"], row["tag"]) == (1, "C"):
+            continue
+        spec = class_spec(make_symbol(row["symbol"], *row["params"]), row["level"], row["tag"])
+        detail = s1_estimate(spec, manifest.sizes, manifest.tol).detail
+        if "zero" not in detail["paths"]:
+            repeats += len(manifest.sizes) - len(set(detail["cuts"]))
+    assert repeats == 5 * 3
+    solver_calls.clear()
+    first = run_manifest(manifest)
     calls = len(solver_calls)
-    assert calls == 144 - 16 - 5 * 4
+    assert calls == 144 - 16 - 5 * 4 - repeats
     second = run_manifest(built_in_manifest("inclusions"))
     # nothing survives a run: the second computes every section again
     assert len(solver_calls) == 2 * calls

@@ -1,6 +1,7 @@
 """Tests for the weighted Hankel and lattice sections."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -411,6 +412,44 @@ def test_s1_estimate_validation():
         s1_estimate(class_spec(geometric(0.5), 1, "B"), [10, 10], 1e-6)
     with pytest.raises(TypeError):
         s1_estimate("not a spec", [10, 20], 1e-6)
+
+
+@pytest.mark.parametrize("spec", [
+    class_spec(sphere(3), 1, "B"),
+    class_spec(sphere(2), 2, "A"),
+    class_spec(from_table([1.0, 0.5, 0.25], "ZERO"), 1, "A"),
+    class_spec(from_table([1.0, 0.5, 0.25], "ZERO"), 2, "C"),
+], ids=lambda spec: spec.label())
+def test_s1_estimate_cuts_exact_zero_tails_with_no_allowance(spec):
+    sizes = (4, 8, 64, 512)
+    est = s1_estimate(spec, sizes, 1e-6)
+    assert est.detail["cut_allowance"] == (0.0,) * 4
+    assert len(set(est.detail["cuts"])) == 1 and est.detail["cuts"][0] <= 4
+    for K, value in zip(sizes, est.values):
+        want = svd_trace_norm(build_hankel(spec, K).as_numeric())
+        assert value == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_s1_estimate_cut_stays_within_its_allowance(eigvalsh_calls):
+    spec = class_spec(geometric(0.9), 1, "A")
+    sizes = (64, 512, 1024)
+    est = s1_estimate(spec, sizes, 1e-6)
+    cuts, allowances = est.detail["cuts"], est.detail["cut_allowance"]
+    assert cuts[0] == 64 and allowances[0] == 0.0
+    assert cuts[1] == cuts[2] < 512 and 0.0 < allowances[1] <= allowances[2]
+    # sizes that cut to one block solve it once, without a memo
+    assert len(eigvalsh_calls) == 2
+    for K, value, allowance in zip(sizes, est.values, allowances):
+        want = svd_trace_norm(build_hankel(spec, K).as_numeric())
+        assert abs(value - want) <= allowance + 1e-14 * want
+    # the cut reads the 2K - 1 values: no K x K temporary at K = 4096
+    tracemalloc.start()
+    try:
+        s1_estimate(class_spec(geometric(0.5), 1, "A"), (64, 4096), 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 4096
 
 
 def test_series_tail_flag():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurmult import mlab
+from schurmult.bench import parse_graph
 from schurmult.errors import (
     ConvergenceError,
     MaxIterExceededError,
@@ -307,11 +308,91 @@ def test_witness_json_rows_pair_only_complex_entries(name):
 
 
 def test_cb_norm_dual_pad_scales_with_the_separator():
-    # the lower end sqrt(2) comes from a separator; its pad is m eps ||S||
-    res = cb_norm_sdp(np.array([[1.0, 1.0], [1.0, -1.0]]), tol=1e-6)
-    pad = res.witness.detail["dual_pad"]
-    assert 0.0 < pad <= 2 * np.finfo(float).eps * 2.0
-    assert res.lower == pytest.approx(math.sqrt(2), abs=1e-6)
+    # below the norm sqrt(2) every level is infeasible, and the separator
+    # rounded from the drift certifies a floor above it; its pad is m eps ||S||
+    B = np.array([[1.0, 1.0], [1.0, -1.0]])
+    blocks = mlab._layout(B, B)
+    hi = math.sqrt(2)
+    z = blocks.completion(hi * np.eye(2), B.T @ B / hi)
+    for c in (1.3, 1.41):
+        verdict, _, _, (floor, pad), _, _ = mlab._feasibility(blocks, c, z, c)
+        assert verdict is False
+        assert c < floor == pytest.approx(math.sqrt(2), abs=1e-6)
+        assert 0.0 < pad <= 2 * np.finfo(float).eps * 2.0
+
+
+def test_rank_one_ascent_closes_the_two_by_two_sign_kernel():
+    # xi = eta = (1, 1) / sqrt 2 gives B / 2, whose trace norm is the norm sqrt 2
+    B = np.array([[1.0, 1.0], [1.0, -1.0]])
+    value, pad, svds = mlab._rank_one_ascent(B)
+    assert abs(value - math.sqrt(2)) <= pad <= 1e-13
+    assert svds == 3
+    res = cb_norm_sdp(B, tol=1e-6)
+    detail = res.witness.detail
+    assert detail["lower_certificate"] == "ascent"
+    assert detail["ascent_pad"] == pad and detail["ascent_svds"] == svds
+    assert detail["dual_pad"] == 0.0
+    assert res.lower == value - pad <= math.sqrt(2) <= res.upper
+
+
+# every kernel of the benchmark's two SDP parts, the README example and the
+# sandwich radii
+BENCHMARK_SDP_KERNELS = [
+    ("SPHERE", 1, "T3ball(3)"), ("SPHERE", 2, "T3ball(3)"),
+    ("SPHERE", 1, "product(T3ball(1),T3ball(2))"), ("SPHERE", 1, "T4ball(3)"),
+    ("PARTIAL_SUM", 1, "product(T3ball(1),T3ball(2))"),
+    ("ALT_POWER", 1.5, "product(T3ball(2),T3ball(2))"), ("POWER", 0.5, "T3ball(3)"),
+    ("ALT_POWER", 1.5, "T4ball(2)"), ("GEOM", 0.5, "T3ball(3)"),
+    ("GEOM", 0.5, "product(T3ball(2),T3ball(2))"),
+    ("GEOM", 0.5, "T3ball(1)"), ("GEOM", 0.5, "T3ball(2)"),
+    ("ALT_POWER", 1.5, "T3ball(1)"), ("ALT_POWER", 1.5, "T3ball(2)"),
+    ("ALT_POWER", 1.5, "T3ball(3)"),
+]
+
+
+@pytest.mark.parametrize("name, param, graph", BENCHMARK_SDP_KERNELS, ids=lambda v: str(v))
+def test_rank_one_ascent_stays_under_the_sdp_upper_end(name, param, graph):
+    kernel = radial_kernel(parse_graph(graph), make_symbol(name, param))
+    value, pad, _ = mlab._rank_one_ascent(kernel.matrix)
+    res = cb_norm_sdp(kernel, tol=1e-3)
+    assert value - pad <= res.upper
+    # the bracket starts at the ascent and only rises from there
+    assert res.lower >= min(value - pad, res.upper)
+    assert res.witness.detail["lower_certificate"] in ("entry", "ascent", "dual")
+
+
+def test_rank_one_ascent_stays_under_the_sdp_upper_end_on_random_complex_kernels():
+    # complex Gaussian 4-7 kernels as in acceptance test 08, at its tol 1e-3
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n = int(rng.integers(4, 8))
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        value, pad, _ = mlab._rank_one_ascent(B)
+        res = cb_norm_sdp(B, tol=1e-3)
+        assert np.abs(B).max() <= res.lower and value - pad <= res.upper
+
+
+def _psd_kernels():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+    gram = X @ X.conj().T
+    d = np.sqrt(np.real(np.diag(gram)))
+    signs = np.array([(-1.0) ** i for i in range(8)])
+    kernels = [radial_kernel(parse_graph(g), make_symbol(s, p)).matrix
+               for s, p, g in BENCHMARK_SDP_KERNELS[5:10]]
+    return kernels + [np.ones((8, 8)), np.outer(signs, signs),
+                      2.5 * gram / np.outer(d, d)]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_rank_one_ascent_is_the_diagonal_on_psd_kernels(index):
+    # a positive semidefinite kernel with constant diagonal d has norm d, and
+    # D_xi B D_xi has trace norm d for every unit xi: the first value is final
+    B = _psd_kernels()[index]
+    assert np.linalg.eigvalsh(B).min() >= -1e-12
+    value, pad, svds = mlab._rank_one_ascent(B)
+    assert abs(value - np.real(np.diag(B)).max()) <= pad
+    assert svds == 3
 
 
 # the tree-ball kernels of the benchmark's two SDP parts and its sandwich rows
